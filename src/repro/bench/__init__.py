@@ -40,10 +40,9 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..common.params import SystemConfig
-from ..core.cpu import Core
-from ..core.system import System
+from ..core.simulator import Session
 from ..experiments.runner import POLICY_MATRIX, config_for
-from ..kernel import DEFAULT_ENGINE, ENGINES, BatchedEngine
+from ..kernel import DEFAULT_ENGINE, ENGINES
 from ..workloads.base import SyntheticWorkload
 from ..workloads.server import server_suite
 
@@ -72,41 +71,16 @@ def bench_cell(
     statistics (the differential suite enforces this); only wall time and —
     for the batched engine — the fast-path coverage differ.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    config = config_for(technique, base_config)
-    system = System(config, workload.size_policy)
-    core = Core(system, thread_id=0)
-    stream = workload.record_stream()
-
-    coverage = None
-    if engine == "batched":
-        kernel = BatchedEngine(system, core, stream)
-        kernel.run_records(warmup_records)
-        system.reset_stats()
-        kernel.reset_stats()
-        start = time.perf_counter()
-        cycles = kernel.run_records(measure_records)
-        wall = time.perf_counter() - start
-        coverage = kernel.fast_path_coverage
-    else:
-        execute = core.execute
-        advance = stream.__next__
-        for _ in range(warmup_records):
-            execute(advance())
-        system.reset_stats()
-        cycles = 0.0
-        start = time.perf_counter()
-        for _ in range(measure_records):
-            cycles += execute(advance())
-        wall = time.perf_counter() - start
-    wall = max(wall, 1e-9)
-    stats = system.stats
-    stats.cycles = cycles
+    session = Session(config_for(technique, base_config), [workload], engine=engine)
+    session.warmup(records=warmup_records)
+    start = time.perf_counter()
+    cycles = session.measure(records=measure_records)
+    wall = max(time.perf_counter() - start, 1e-9)
+    stats = session.system.stats
     cell = {
         "technique": technique,
         "workload": workload.name,
-        "engine": engine,
+        "engine": session.engine_name,
         "records": float(measure_records),
         "instructions": float(stats.instructions),
         "cycles": cycles,
@@ -116,8 +90,8 @@ def bench_cell(
         "cycles_per_sec": cycles / wall,
         "ipc": stats.ipc,
     }
-    if coverage is not None:
-        cell["fast_path_coverage"] = coverage
+    if session.engine_name == "batched":
+        cell["fast_path_coverage"] = session.engine.fast_path_coverage
     return cell
 
 

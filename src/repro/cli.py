@@ -33,7 +33,7 @@ from .fabric import (
 )
 from .experiments.reporting import format_table
 from .experiments.runner import MEASURE, POLICY_MATRIX, WARMUP, config_for
-from .kernel import ENGINES, resolve_engine
+from .kernel import ENGINES, engine_for
 from .topology.presets import PRESET_NAMES, resolve_topology
 from .topology.spec import TopologyError
 from .workloads.phased import PhasedWorkload
@@ -156,15 +156,16 @@ def main(argv: List[str] = None) -> int:
         return 2
 
     try:
-        # Argparse restricts --engine; this catches a bad REPRO_ENGINE value.
-        resolve_engine(args.engine)
-    except ValueError as exc:
+        spec = resolve_topology(args.topology, scaled_config())
+    except TopologyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
     try:
-        spec = resolve_topology(args.topology, scaled_config())
-    except TopologyError as exc:
+        # Argparse restricts --engine; this catches a bad REPRO_ENGINE value
+        # and a batched engine asked to drive one stream per core.
+        engine_for(args.engine, spec.num_cores)
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

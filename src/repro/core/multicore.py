@@ -21,10 +21,8 @@ from typing import List, Sequence, Union
 
 from ..common.params import SystemConfig
 from ..common.stats import SimStats
-from ..common.types import PageSize
-from ..core.cpu import Core, THREAD_TAG_SHIFT
-from ..core.simulator import SimulationResult
-from ..kernel import resolve_engine
+from ..core.cpu import Core
+from ..core.simulator import Session, SimulationResult, tagged_size_policy
 from ..topology.builder import BuiltCore, build
 from ..topology.presets import multicore, resolve_topology
 from ..topology.spec import TopologySpec
@@ -55,7 +53,7 @@ class MulticoreSystem:
                 f"topology {spec.name!r} has {spec.num_cores} cores but "
                 f"{len(self.workloads)} workloads were given"
             )
-        built = build(spec, config, size_policy=self._size_policy)
+        built = build(spec, config, size_policy=tagged_size_policy(self.workloads))
         self.topology = built
         self.stats: SimStats = built.stats
         self.dram = built.dram
@@ -79,12 +77,6 @@ class MulticoreSystem:
         the structure-owned counters of every core slice and shared level.
         """
         self.topology.reset_stats()
-
-    def _size_policy(self, vaddr: int) -> PageSize:
-        index = vaddr >> THREAD_TAG_SHIFT
-        if index >= len(self.workloads):
-            index = 0
-        return self.workloads[index].size_policy(vaddr & ((1 << THREAD_TAG_SHIFT) - 1))
 
 
 class _SliceView:
@@ -116,28 +108,9 @@ def simulate_multicore(
     Cores advance in lock-step rounds of one fetch group each; per-core
     cycles accumulate independently while all shared-state contention
     (LLC capacity, DRAM bandwidth) plays out through the shared objects.
-    ``engine`` is accepted for interface symmetry and validated, but the
-    lock-step round-robin always runs the scalar spec path (the batched
-    kernel drives a single stream; see :mod:`repro.kernel`).
+    Two or more cores run only on ``spec`` (:func:`repro.kernel.engine_for`).
     """
-    resolve_engine(engine)
-    system = MulticoreSystem(config, workloads, topology=topology)
-    streams = [wl.record_stream() for wl in workloads]
-    stats = system.stats
-    core_cycles = [0.0] * len(system.cores)
-
-    def round_robin() -> None:
-        for index, core in enumerate(system.cores):
-            core_cycles[index] += core.execute(next(streams[index]))
-
-    while stats.instructions < warmup_instructions:
-        round_robin()
-    system.reset_stats()
-    for index in range(len(core_cycles)):
-        core_cycles[index] = 0.0
-
-    while stats.instructions < measure_instructions:
-        round_robin()
-    stats.cycles = max(core_cycles)
-    name = "+".join(wl.name for wl in workloads)
-    return SimulationResult(name, config_label, stats)
+    session = Session(config, workloads, topology, engine, multicore=True)
+    session.warmup(warmup_instructions)
+    session.measure(measure_instructions)
+    return session.result(config_label)

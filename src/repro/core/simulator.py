@@ -8,23 +8,21 @@ the longer record hides most of the shorter one, modelling latency hiding
 across hardware threads while shared-structure contention emerges naturally
 from the shared state.
 
-Both drivers follow the paper's methodology: a warmup window that touches
-state but not statistics, then a measurement window (Section 5.2 uses 50 M
-warmup + 100 M measured; defaults here are scaled down for Python speed —
-DESIGN.md §3).
+Every driver runs the paper's methodology through one :class:`Session`: a
+warmup window that touches state but not statistics, then a measurement
+window (Section 5.2 uses 50 M warmup + 100 M measured; defaults here are
+scaled down for Python speed — DESIGN.md §3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
-
-from typing import Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..common.params import SystemConfig
 from ..common.stats import SimStats
 from ..common.types import PageSize
-from ..kernel import BatchedEngine, resolve_engine
+from ..kernel import BatchedEngine, ScalarEngine, engine_for
 from ..topology.spec import TopologySpec
 from ..workloads.base import SyntheticWorkload
 from .cpu import Core, THREAD_TAG_SHIFT
@@ -91,8 +89,8 @@ def _export_structures(system: System, stats: SimStats) -> None:
         stats.counters["dram.row_misses"] = system.dram.row_misses
 
 
-def _tagged_size_policy(workloads: Sequence[SyntheticWorkload]):
-    """Dispatch page-size decisions by the SMT thread tag in high bits."""
+def tagged_size_policy(workloads: Sequence[SyntheticWorkload]):
+    """Dispatch page-size decisions by the thread/core tag in high bits."""
     mask = (1 << THREAD_TAG_SHIFT) - 1
 
     def policy(vaddr: int) -> PageSize:
@@ -102,6 +100,69 @@ def _tagged_size_policy(workloads: Sequence[SyntheticWorkload]):
         return workloads[thread].size_policy(vaddr & mask)
 
     return policy
+
+
+class Session:
+    """One run of the paper's method (Sections 5.1-5.2), phase by phase.
+
+    Building a session builds the machine, its cores and record streams,
+    and the engine that drives them (:func:`repro.kernel.engine_for`).  The
+    phases are plain methods, called in order; each window is bounded by
+    instructions or, for the benchmark harness, by trace records.  One
+    workload runs on one core; given ``overlap_residual``, two run as SMT
+    threads of one core; with ``multicore``, each gets its own core on a
+    :class:`~repro.core.multicore.MulticoreSystem`.
+    """
+
+    def __init__(
+        self,
+        config: SystemConfig,
+        workloads: Sequence[SyntheticWorkload],
+        topology: Union[None, str, TopologySpec] = None,
+        engine: Optional[str] = None,
+        overlap_residual: Optional[float] = None,
+        multicore: bool = False,
+    ) -> None:
+        self.name = "+".join(w.name for w in workloads)
+        self.engine_name = engine_for(engine, len(workloads))
+        if multicore:
+            from .multicore import MulticoreSystem  # it imports this module
+
+            self.system = MulticoreSystem(config, workloads, topology=topology)
+            cores = self.system.cores
+        elif len(workloads) == (1 if overlap_residual is None else 2):
+            self.system = System(config, tagged_size_policy(workloads), topology=topology)
+            cores = [Core(self.system, thread_id=i) for i in range(len(workloads))]
+        else:
+            raise ValueError("a core runs one workload, or two as SMT threads")
+        streams = [w.record_stream() for w in workloads]
+        if self.engine_name == "batched":
+            self.engine = BatchedEngine(cores[0].system, cores[0], streams[0])
+        else:
+            self.engine = ScalarEngine(self.system.stats, cores, streams, overlap_residual)
+
+    def _run(self, instructions: int, records: Optional[int]) -> float:
+        engine = self.engine
+        return engine.run_until(instructions) if records is None else engine.run_records(records)
+
+    def warmup(self, instructions: int = 0, records: Optional[int] = None) -> None:
+        """Touch state, not statistics: run the window, then reset the
+        machine's and the engine's counters at the boundary."""
+        self._run(instructions, records)
+        self.system.reset_stats()
+        self.engine.reset_stats()
+
+    def measure(self, instructions: int = 0, records: Optional[int] = None) -> float:
+        """Run the measured window; returns (and records) its cycles."""
+        cycles = self.system.stats.cycles = self._run(instructions, records)
+        return cycles
+
+    def result(self, config_label: str = "") -> SimulationResult:
+        stats = self.system.stats
+        if isinstance(self.system, System):
+            _export_adaptive(self.system, stats)
+            _export_structures(self.system, stats)
+        return SimulationResult(self.name, config_label, stats)
 
 
 def simulate(
@@ -119,31 +180,10 @@ def simulate(
     :mod:`repro.kernel`); ``None`` defers to ``REPRO_ENGINE`` then the
     default.  Both engines produce bit-identical statistics.
     """
-    system = System(config, workload.size_policy, topology=topology)
-    core = Core(system, thread_id=0)
-    stream = workload.record_stream()
-    stats = system.stats
-
-    if resolve_engine(engine) == "batched":
-        kernel = BatchedEngine(system, core, stream)
-        kernel.run_until(warmup_instructions)
-        system.reset_stats()
-        stats.cycles = kernel.run_until(measure_instructions)
-        _export_adaptive(system, stats)
-        _export_structures(system, stats)
-        return SimulationResult(workload.name, config_label, stats)
-
-    while stats.instructions < warmup_instructions:
-        core.execute(next(stream))
-    system.reset_stats()
-
-    cycles = 0.0
-    while stats.instructions < measure_instructions:
-        cycles += core.execute(next(stream))
-    stats.cycles = cycles
-    _export_adaptive(system, stats)
-    _export_structures(system, stats)
-    return SimulationResult(workload.name, config_label, stats)
+    session = Session(config, [workload], topology, engine)
+    session.warmup(warmup_instructions)
+    session.measure(measure_instructions)
+    return session.result(config_label)
 
 
 def simulate_smt(
@@ -160,32 +200,9 @@ def simulate_smt(
 
     ``overlap_residual`` is the fraction of the shorter thread's record
     cost that still contributes to elapsed cycles (shared issue bandwidth).
-    ``engine`` is accepted for interface symmetry and validated, but SMT
-    always runs the scalar spec path: the round-robin step interleaves two
-    streams record-by-record, which the block-batched kernel does not model.
+    Two streams run only on ``spec`` (:func:`repro.kernel.engine_for`).
     """
-    resolve_engine(engine)
-    if len(workloads) != 2:
-        raise ValueError("SMT simulation takes exactly two workloads")
-    system = System(config, _tagged_size_policy(workloads), topology=topology)
-    cores = [Core(system, thread_id=i) for i in range(2)]
-    streams = [w.record_stream() for w in workloads]
-    stats = system.stats
-
-    def step() -> float:
-        c0 = cores[0].execute(next(streams[0]))
-        c1 = cores[1].execute(next(streams[1]))
-        return max(c0, c1) + overlap_residual * min(c0, c1)
-
-    while stats.instructions < warmup_instructions:
-        step()
-    system.reset_stats()
-
-    cycles = 0.0
-    while stats.instructions < measure_instructions:
-        cycles += step()
-    stats.cycles = cycles
-    _export_adaptive(system, stats)
-    _export_structures(system, stats)
-    name = "+".join(w.name for w in workloads)
-    return SimulationResult(name, config_label, stats)
+    session = Session(config, workloads, topology, engine, overlap_residual)
+    session.warmup(warmup_instructions)
+    session.measure(measure_instructions)
+    return session.result(config_label)

@@ -26,7 +26,7 @@ from pathlib import Path  # noqa: F401 - re-exported type alias convenience
 from typing import Optional, Sequence, Tuple, Union
 
 from ..common.params import SystemConfig
-from ..kernel import resolve_engine
+from ..kernel import engine_for
 from ..topology.presets import resolve_topology
 from ..topology.spec import TopologySpec
 from ..workloads.base import SyntheticWorkload
@@ -74,7 +74,9 @@ class SimJob:
     per core.  ``engine`` selects the execution engine
     (:mod:`repro.kernel`): ``None`` defers to ``REPRO_ENGINE`` then the
     default, so the choice resolves on the executing worker and is pinned
-    into the cache key.
+    into the cache key.  A job with more than one workload always runs
+    ``spec`` (:func:`repro.kernel.engine_for`); pinning ``batched`` on one
+    raises :class:`ValueError` here.
     """
 
     config: SystemConfig
@@ -88,7 +90,7 @@ class SimJob:
     def __post_init__(self) -> None:
         if not self.workloads:
             raise ValueError("SimJob needs at least one workload")
-        resolve_engine(self.engine)  # validate eagerly, at job-build time
+        engine_for(self.engine, len(self.workloads))  # validate at build time
         if self.topology is None and len(self.workloads) > 2:
             raise ValueError("SimJob takes one workload (1T) or two (SMT)")
 
@@ -161,14 +163,15 @@ def job_key(job: SimJob) -> str:
     is keyed *resolved* (both engines are bit-identical, but separate keys
     keep a per-engine provenance trail and make cross-engine cache hits an
     explicit non-goal); a job deferring to ``REPRO_ENGINE`` therefore maps
-    to the same entry as one pinning that engine explicitly.
+    to the same entry as one pinning that engine explicitly, and an SMT or
+    multicore job keys ``spec``, the engine that runs it.
     """
     parts = [
         f"cache-version={CACHE_VERSION}",
         f"label={job.label}",
         f"warmup={job.warmup}",
         f"measure={job.measure}",
-        f"engine={resolve_engine(job.engine)}",
+        f"engine={engine_for(job.engine, len(job.workloads))}",
         f"config={job.config!r}",
         f"topology={job.resolved_topology().content_hash()}",
     ]

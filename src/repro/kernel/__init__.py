@@ -13,7 +13,9 @@ Two engines produce bit-identical :class:`~repro.common.stats.SimStats`:
 
 Select an engine per call (``engine=`` on the simulation drivers, ``--engine``
 on the CLIs) or process-wide with the ``REPRO_ENGINE`` environment variable;
-an explicit argument wins over the environment.
+an explicit argument wins over the environment.  Every engine exposes
+``run_until(instructions)``, ``run_records(n)`` (both return cycles) and
+``reset_stats()``; :func:`engine_for` decides which one runs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 from typing import Optional
 
 from .batched import DEFAULT_BLOCK_RECORDS, BatchedEngine
+from .scalar import ScalarEngine
 
 #: Environment variable naming the default engine for this process.
 ENGINE_ENV = "REPRO_ENGINE"
@@ -43,11 +46,23 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
+def engine_for(engine: Optional[str], streams: int) -> str:
+    """The engine that runs ``streams`` record streams when ``engine`` is
+    asked for: the batched kernel drives one stream, so with more the
+    default runs ``spec`` and an explicit ``batched`` raises."""
+    resolved = resolve_engine(engine)
+    if streams > 1 and resolved == "batched" and engine is not None:
+        raise ValueError(f"engine 'batched' drives one record stream, not {streams}")
+    return "spec" if streams > 1 else resolved
+
+
 __all__ = [
     "BatchedEngine",
     "DEFAULT_BLOCK_RECORDS",
     "DEFAULT_ENGINE",
     "ENGINE_ENV",
     "ENGINES",
+    "ScalarEngine",
+    "engine_for",
     "resolve_engine",
 ]

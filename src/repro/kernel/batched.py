@@ -87,6 +87,7 @@ Bit-identity notes (each is load-bearing; see tests/test_kernel_diff.py):
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
 
 from ..cache.cache import SetAssociativeCache
@@ -97,6 +98,7 @@ from ..common.types import LARGE_PAGE_BITS, PAGE_BITS, PageSize, RequestType, Tr
 from ..mem.dram import _FREE_RATE, _MAX_PRESSURE, DRAM
 from ..replacement.lru import LRUPolicy
 from ..tlb.policies.lru import TLBLRUPolicy
+from .scalar import _NO_LIMIT, ScalarEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.cpu import Core
@@ -106,7 +108,6 @@ _SIZE_2M = PageSize.SIZE_2M
 _PAGE_OFFSET_MASK = (1 << PAGE_BITS) - 1
 _LOAD = RequestType.LOAD
 _STORE = RequestType.STORE
-_NO_LIMIT = float("inf")
 
 #: Records pulled (and precomputed) per block.
 DEFAULT_BLOCK_RECORDS = 4096
@@ -124,8 +125,8 @@ class BatchedEngine:
 
     __slots__ = (
         "fast_records", "issue_records", "total_records",
-        "_system", "_core", "_advance", "_execute", "_stats",
-        "_block_records", "_fast_ok", "_exhausted",
+        "_stream", "_execute", "_stats",
+        "_block_records", "_scalar",
         "_ttag", "_thread_id", "_base_cpi",
         "_chirp_observe", "_adaptive_on",
         "_core_data", "_data_req",
@@ -156,13 +157,10 @@ class BatchedEngine:
     ) -> None:
         if block_records <= 0:
             raise ValueError("block_records must be positive")
-        self._system = system
-        self._core = core
-        self._advance = stream.__next__
+        self._stream = stream
         self._execute = core.execute
         self._stats = system.stats
         self._block_records = block_records
-        self._exhausted = False
         self.fast_records = 0
         self.issue_records = 0
         self.total_records = 0
@@ -227,9 +225,9 @@ class BatchedEngine:
         # The fast tiers replay only the exact baseline L1 behaviours: LRU
         # recency bumps and the baseline prefetcher windows.  Any other
         # policy/prefetcher type — subclasses included — runs whole-run
-        # scalar, as does a topology whose L1 hit latency exceeds the
-        # Table 1 figure the core's stall model subtracts.
-        self._fast_ok = (
+        # scalar (on a ScalarEngine), as does a topology whose L1 hit
+        # latency exceeds the Table 1 figure the core's stall model subtracts.
+        fast_ok = (
             type(itlb.policy) is TLBLRUPolicy
             and type(dtlb.policy) is TLBLRUPolicy
             and type(l1i.policy) is LRUPolicy
@@ -239,14 +237,14 @@ class BatchedEngine:
             and l1i.config.latency <= system.config.l1i.latency
             and l1d.config.latency <= system.config.l1d.latency
         )
-        if self._fast_ok:
-            self._itlb_stacks = itlb.policy.stacks
-            self._dtlb_stacks = dtlb.policy.stacks
-            self._l1i_stacks = l1i.policy.stacks
-            self._l1d_stacks = l1d.policy.stacks
-        else:
-            self._itlb_stacks = self._dtlb_stacks = ()
-            self._l1i_stacks = self._l1d_stacks = ()
+        if not fast_ok:
+            self._scalar = ScalarEngine(system.stats, [core], [stream])
+            return
+        self._scalar = None
+        self._itlb_stacks = itlb.policy.stacks
+        self._dtlb_stacks = dtlb.policy.stacks
+        self._l1i_stacks = l1i.policy.stacks
+        self._l1d_stacks = l1d.policy.stacks
 
         # Inline-prefetch eligibility for FDIP issues: the L1I must sit on
         # the plain L2C → LLC → DRAM chain (no analysis probes rewiring
@@ -324,11 +322,13 @@ class BatchedEngine:
 
     def reset_stats(self) -> None:
         """Clear the coverage counters ``fast_records``, ``issue_records``
-        and ``total_records`` (the bench harness resets them at the warmup
-        boundary)."""
+        and ``total_records``; a session calls this at every warmup
+        boundary, so coverage always describes the measured window."""
         self.fast_records = 0
         self.issue_records = 0
         self.total_records = 0
+        if self._scalar is not None:
+            self._scalar.reset_stats()
 
     def run_until(self, instruction_limit: Union[int, float]) -> float:
         """Execute records until ``stats.instructions >= instruction_limit``.
@@ -339,49 +339,29 @@ class BatchedEngine:
         first unexecuted record — blocks split exactly at the boundary.
         Returns the cycles accumulated by this call, in stream order.
         """
-        stats = self._stats
-        cycles = 0.0
-        if not self._fast_ok:
-            execute = self._execute
-            advance = self._advance
-            total = self.total_records
-            while stats.instructions < instruction_limit:
-                cycles += execute(advance())
-                total += 1
-            self.total_records = total
-            return cycles
-        while stats.instructions < instruction_limit:
-            if self._idx >= len(self._blk):
-                self._pull_block()
-                if not self._blk:
-                    raise StopIteration
-            cycles = self._run_block(instruction_limit, len(self._blk), cycles)
-        return cycles
+        return self._run(instruction_limit, _NO_LIMIT)
 
     def run_records(self, record_count: int) -> float:
         """Execute exactly ``record_count`` records (bench windows are
         record-bounded); returns the cycles they cost, in stream order."""
-        cycles = 0.0
-        if not self._fast_ok:
-            execute = self._execute
-            advance = self._advance
-            for _ in range(record_count):
-                cycles += execute(advance())
-            self.total_records += record_count
+        return self._run(_NO_LIMIT, record_count)
+
+    def _run(self, limit: Union[int, float], records: Union[int, float]) -> float:
+        scalar = self._scalar
+        if scalar is not None:
+            cycles = scalar._run(limit, records)
+            self.total_records = scalar.total_records
             return cycles
-        remaining = record_count
-        while remaining > 0:
+        stats = self._stats
+        cycles = 0.0
+        while records > 0 and stats.instructions < limit:
             if self._idx >= len(self._blk):
                 self._pull_block()
                 if not self._blk:
                     raise StopIteration
             start = self._idx
-            end = start + remaining
-            blk_len = len(self._blk)
-            if end > blk_len:
-                end = blk_len
-            cycles = self._run_block(_NO_LIMIT, end, cycles)
-            remaining -= self._idx - start
+            cycles = self._run_block(limit, min(len(self._blk), start + records), cycles)
+            records -= self._idx - start
         return cycles
 
     # ------------------------------------------------------------------ #
@@ -397,12 +377,7 @@ class BatchedEngine:
         """
         blk = self._blk
         blk.clear()
-        advance = self._advance
-        try:
-            for _ in range(self._block_records):
-                blk.append(advance())
-        except StopIteration:
-            self._exhausted = True
+        blk.extend(islice(self._stream, self._block_records))
         ttag = self._ttag
         if ttag:
             pcs = [r.pc | ttag for r in blk]

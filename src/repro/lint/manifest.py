@@ -117,6 +117,7 @@ STATS_BEARING: FrozenSet[str] = frozenset(
         "AdaptiveXPTPController",
         "MMU",
         "BatchedEngine",
+        "ScalarEngine",
     }
 )
 

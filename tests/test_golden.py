@@ -8,11 +8,14 @@ only if it is *declared* by updating the constants here, and tight enough
 to catch accidental behavioural drift in the substrate.
 """
 
+import hashlib
+
 import pytest
 
 from repro.common.params import TABLE1, scaled_config
 from repro.common.recency import NaiveRecencyStack
-from repro.core.simulator import simulate
+from repro.core.multicore import simulate_multicore
+from repro.core.simulator import simulate, simulate_smt
 from repro.replacement.lru import LRUPolicy
 from repro.tlb.policies.lru import TLBLRUPolicy
 from repro.workloads.server import ServerWorkload
@@ -97,3 +100,42 @@ class TestFullScaleTable1:
         cfg = TABLE1.with_policies(stlb="itp", l2c="xptp")
         result = simulate(cfg, wl, 5_000, 20_000)
         assert result.ipc > 0
+
+
+class TestMultiStreamDigests:
+    """SMT and multicore runs, pinned bit for bit.
+
+    Each digest is a sha256 over the sorted metric report of one small run
+    (iTP+xPTP so the adaptive and xPTP exports are live).  Unlike the
+    tolerance checks above, any change to a multi-stream metric — the SMT
+    overlap step, the multicore lock-step rounds, the warmup boundary or
+    the exports — must be declared by updating a digest here.
+    """
+
+    CONFIG = scaled_config().with_policies(stlb="itp", l2c="xptp")
+
+    @staticmethod
+    def _workload(seed):
+        return ServerWorkload(
+            f"pin{seed}", seed, code_pages=64, data_pages=2000,
+            hot_data_pages=64, warm_pages=500, local_pages=32,
+        )
+
+    @staticmethod
+    def _digest(result):
+        report = repr(sorted(result.metrics.items())).encode("utf-8")
+        return hashlib.sha256(report).hexdigest()
+
+    def test_smt_digest(self):
+        pair = [self._workload(1), self._workload(2)]
+        result = simulate_smt(self.CONFIG, pair, 2_000, 12_000)
+        assert self._digest(result) == (
+            "ee08c51f9dac362c56f1bacda0aaf16812a7405744e3109c8b68d483c1f7a882"
+        )
+
+    def test_multicore_digest(self):
+        pair = [self._workload(3), self._workload(4)]
+        result = simulate_multicore(self.CONFIG, pair, 2_000, 12_000)
+        assert self._digest(result) == (
+            "0d3c1fa71da0717963f44e198e16ce4039400da550d698989c14c9108b823316"
+        )

@@ -34,10 +34,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import DEFAULT_WARMUP_RECORDS  # noqa: E402
-from repro.core.cpu import Core  # noqa: E402
-from repro.core.system import System  # noqa: E402
+from repro.core.simulator import Session  # noqa: E402
 from repro.experiments.runner import POLICY_MATRIX, config_for  # noqa: E402
-from repro.kernel import DEFAULT_ENGINE, ENGINES, BatchedEngine  # noqa: E402
+from repro.kernel import DEFAULT_ENGINE, ENGINES  # noqa: E402
 from repro.workloads.server import server_suite  # noqa: E402
 
 
@@ -73,35 +72,17 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    workload = server_suite(1)[0]
-    system = System(config_for(args.technique), workload.size_policy)
-    core = Core(system, thread_id=0)
-    stream = workload.record_stream()
-
+    session = Session(config_for(args.technique), server_suite(1), engine=args.engine)
+    session.warmup(records=args.warmup_records)
     profiler = cProfile.Profile()
-    kernel = None
-    if args.engine == "batched":
-        kernel = BatchedEngine(system, core, stream)
-        kernel.run_records(args.warmup_records)
-        system.reset_stats()
-        kernel.reset_stats()
-        profiler.enable()
-        kernel.run_records(args.records)
-        profiler.disable()
-    else:
-        for _ in range(args.warmup_records):
-            core.execute(next(stream))
-        system.reset_stats()
-        execute = core.execute
-        advance = stream.__next__
-        profiler.enable()
-        for _ in range(args.records):
-            execute(advance())
-        profiler.disable()
+    profiler.enable()
+    session.measure(records=args.records)
+    profiler.disable()
 
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.limit)
-    if kernel is not None:
+    if args.engine == "batched":
+        kernel = session.engine
         print(
             f"fast-path coverage: {kernel.fast_path_coverage:.1%} "
             f"({kernel.fast_records} fast / {kernel.issue_records} issuing / "
