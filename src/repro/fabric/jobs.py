@@ -144,12 +144,25 @@ def workload_fingerprint(workload: SyntheticWorkload) -> str:
 
     Workload generators are pure functions of their constructor parameters
     (all public attributes; derived state like pre-built function tables is
-    underscore-prefixed), so class + public attributes pin the trace.
+    underscore-prefixed), so class + public attributes pin the trace.  A
+    public attribute that is itself a workload (``PhasedWorkload.pressure``)
+    is fingerprinted the same way, recursively, so its parameters are keyed
+    too.  A workload without nested ones keeps the format existing cache
+    entries are keyed by: ``module.Class[('attr', value!r), ...]``, the
+    ``repr`` of its sorted public items.
     """
-    public = sorted(
-        (k, v) for k, v in vars(workload).items() if not k.startswith("_")
+    fields = ", ".join(
+        f"({key!r}, {_field_fingerprint(value)})"
+        for key, value in sorted(vars(workload).items())
+        if not key.startswith("_")
     )
-    return f"{type(workload).__module__}.{type(workload).__qualname__}{public!r}"
+    return f"{type(workload).__module__}.{type(workload).__qualname__}[{fields}]"
+
+
+def _field_fingerprint(value: object) -> str:
+    if isinstance(value, SyntheticWorkload):
+        return workload_fingerprint(value)
+    return repr(value)
 
 
 def job_key(job: SimJob) -> str:

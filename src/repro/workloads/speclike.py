@@ -66,32 +66,45 @@ class SpecLikeWorkload(SyntheticWorkload):
         stream_bytes = (self.data_pages - self.hot_data_pages) * PAGE_BYTES
         cursor = 0
 
+        # Hot-loop bindings, as in ServerWorkload.record_stream: one record
+        # per iteration, so every attribute lookup here is paid per record.
+        coin_next = coin.next
+        pick_hot_next = pick_hot.next
+        pick_offset_next = pick_offset.next
+        pick_loop_start_next = pick_loop_start.next
+        pick_trip_next = pick_trip.next
+        loop_lines = self.loop_lines
+        instrs_per_line = self.instrs_per_line
+        load_probability = self.load_probability
+        store_probability = self.store_probability
+        hot_fraction = self.hot_fraction
+        stride_bytes = self.stride_lines * CACHE_LINE_BYTES
+        stream_base = DATA_BASE + hot_bytes
+
         while True:
-            start = pick_loop_start.next()
-            trip_count = 8 + pick_trip.next()
+            start = pick_loop_start_next()
+            trip_count = 8 + pick_trip_next()
             for _ in range(trip_count):
-                for line in range(start, start + self.loop_lines):
+                for line in range(start, start + loop_lines):
                     pc = CODE_BASE + (line % lines_total) * CACHE_LINE_BYTES
                     loads: Tuple[int, ...] = ()
                     stores: Tuple[int, ...] = ()
-                    if coin.next() < self.load_probability:
-                        if coin.next() < self.hot_fraction:
+                    if coin_next() < load_probability:
+                        if coin_next() < hot_fraction:
                             addr = (
                                 DATA_BASE
-                                + pick_hot.next() * PAGE_BYTES
-                                + pick_offset.next() * 8
+                                + pick_hot_next() * PAGE_BYTES
+                                + pick_offset_next() * 8
                             )
                         else:
-                            addr = DATA_BASE + hot_bytes + cursor
-                            cursor = (
-                                cursor + self.stride_lines * CACHE_LINE_BYTES
-                            ) % stream_bytes
+                            addr = stream_base + cursor
+                            cursor = (cursor + stride_bytes) % stream_bytes
                         loads = (addr,)
-                    if coin.next() < self.store_probability:
+                    if coin_next() < store_probability:
                         stores = (
-                            DATA_BASE + pick_hot.next() * PAGE_BYTES + pick_offset.next() * 8,
+                            DATA_BASE + pick_hot_next() * PAGE_BYTES + pick_offset_next() * 8,
                         )
-                    yield TraceRecord(pc, self.instrs_per_line, loads, stores)
+                    yield TraceRecord(pc, instrs_per_line, loads, stores)
 
 
 def spec_suite(count: int = 5, *, base_seed: int = 500) -> list:

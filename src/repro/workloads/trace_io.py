@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, Union
 
 from ..common.types import TraceRecord
 from .base import SyntheticWorkload
 
 _HEADER = struct.Struct("<QBBB")
 _ADDR = struct.Struct("<Q")
+#: ``_ADDRS[n]`` unpacks a record's block of ``n`` addresses in one call.
+_ADDRS = tuple(struct.Struct(f"<{n}Q") for n in range(2 * 255 + 1))
 MAGIC = b"RPTR1\x00"
 
 
@@ -57,15 +59,12 @@ def read_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
             if len(header) < _HEADER.size:
                 raise ValueError(f"{path}: truncated record header")
             pc, num_instrs, num_loads, num_stores = _HEADER.unpack(header)
-            addrs: List[int] = []
-            for _ in range(num_loads + num_stores):
-                raw = fh.read(_ADDR.size)
-                if len(raw) < _ADDR.size:
-                    raise ValueError(f"{path}: truncated address list")
-                addrs.append(_ADDR.unpack(raw)[0])
-            yield TraceRecord(
-                pc, num_instrs, tuple(addrs[:num_loads]), tuple(addrs[num_loads:])
-            )
+            block = _ADDRS[num_loads + num_stores]
+            raw = fh.read(block.size)
+            if len(raw) < block.size:
+                raise ValueError(f"{path}: truncated address list")
+            addrs = block.unpack_from(raw)
+            yield TraceRecord(pc, num_instrs, addrs[:num_loads], addrs[num_loads:])
 
 
 class FileTraceWorkload(SyntheticWorkload):

@@ -6,9 +6,12 @@ provides — cross-submission dedup, incremental delivery and pluggable
 backends — plus the ``configure_default_runner`` worker-count regression.
 """
 
+import inspect
 import threading
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from repro.common.params import scaled_config
 from repro.fabric import (
@@ -20,11 +23,15 @@ from repro.fabric import (
     job_key,
     run_iter,
     set_default_runner,
+    workload_fingerprint,
 )
 from repro.fabric.store import ResultCache
 from repro.faults import install_plan
 from repro.faults import plan as fault_plan_mod
-from repro.workloads.server import ServerWorkload
+from repro.workloads.mixes import smt_mixes
+from repro.workloads.phased import PhasedWorkload
+from repro.workloads.server import ServerWorkload, server_suite
+from repro.workloads.speclike import SpecLikeWorkload, spec_suite
 
 WARMUP = 2_000
 MEASURE = 8_000
@@ -214,3 +221,72 @@ class TestConfigureDefaultRunner:
             assert configure_default_runner(workers=1).workers == 1
         finally:
             set_default_runner(previous)
+
+
+#: Hash and canonical-form properties run at the top tier (500 examples).
+DETERMINISM_SETTINGS = settings(max_examples=500, deadline=None)
+
+GENERATORS = (ServerWorkload, SpecLikeWorkload, PhasedWorkload)
+BASE_ARGS = {"name": "w", "seed": 5}
+
+
+def _other_value(value):
+    """Strategy for a value of ``value``'s type that differs from it."""
+    if isinstance(value, str):
+        values = st.text(max_size=8)
+    elif isinstance(value, int):
+        # Lower bound 1: a zero function length never ends the code layout.
+        values = st.integers(1, 2 * value + 16)
+    else:
+        values = st.floats(0.0, 2.0, allow_nan=False)
+    return values.filter(lambda v: v != value)
+
+
+class TestWorkloadFingerprint:
+    def test_flat_fingerprint_format_is_unchanged(self):
+        # Cached results are keyed by this exact string: the repr of the
+        # sorted public attributes.
+        workloads = server_suite() + spec_suite()
+        workloads += [w for mix in smt_mixes() for w in mix.workloads]
+        for wl in workloads:
+            public = sorted(
+                (k, v) for k, v in vars(wl).items() if not k.startswith("_")
+            )
+            cls = type(wl)
+            assert workload_fingerprint(wl) == (
+                f"{cls.__module__}.{cls.__qualname__}{public!r}"
+            )
+
+    def test_nested_workload_parameters_change_job_key(self):
+        def key(wl):
+            return job_key(SimJob(scaled_config(), (wl,), WARMUP, MEASURE))
+
+        a, b = PhasedWorkload("ph", 3), PhasedWorkload("ph", 3)
+        assert key(a) == key(b)
+        b.quiet.hot_data_pages = 20
+        assert key(a) != key(b)
+
+    @DETERMINISM_SETTINGS
+    @given(data=st.data())
+    def test_changed_constructor_parameter_changes_fingerprint(self, data):
+        cls = data.draw(st.sampled_from(GENERATORS))
+        params = inspect.signature(cls).parameters
+        param = data.draw(st.sampled_from(sorted(params)))
+        value = BASE_ARGS.get(param, params[param].default)
+        changed = data.draw(_other_value(value))
+        try:
+            other = cls(**{**BASE_ARGS, param: changed})
+        except ValueError:
+            reject()
+        assert workload_fingerprint(cls(**BASE_ARGS)) != workload_fingerprint(other)
+
+    @DETERMINISM_SETTINGS
+    @given(data=st.data())
+    def test_changed_nested_attribute_changes_fingerprint(self, data):
+        base, other = PhasedWorkload(**BASE_ARGS), PhasedWorkload(**BASE_ARGS)
+        sub = data.draw(st.sampled_from(["pressure", "quiet"]))
+        public = sorted(k for k in vars(getattr(base, sub)) if not k.startswith("_"))
+        attr = data.draw(st.sampled_from(public))
+        value = getattr(getattr(base, sub), attr)
+        setattr(getattr(other, sub), attr, data.draw(_other_value(value)))
+        assert workload_fingerprint(base) != workload_fingerprint(other)

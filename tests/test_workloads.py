@@ -19,6 +19,7 @@ from repro.workloads.mixes import smt_mixes
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.server import ServerWorkload, server_suite
 from repro.workloads.speclike import SpecLikeWorkload, spec_suite
+from repro.workloads.trace_io import FileTraceWorkload, capture
 
 
 def take(workload, n):
@@ -184,3 +185,16 @@ class TestPhasedWorkload:
 
     def test_deterministic(self):
         assert take(PhasedWorkload("p", 3), 300) == take(PhasedWorkload("p", 3), 300)
+
+
+class TestFileTraceReplay:
+    @pytest.mark.parametrize(
+        "workload",
+        [ServerWorkload("srv", 11), SpecLikeWorkload("spec", 12), PhasedWorkload("ph", 13, 3000)],
+        ids=["server", "speclike", "phased"],
+    )
+    def test_captured_trace_replays_record_for_record(self, tmp_path, workload):
+        path = tmp_path / "cap.rptr"
+        assert capture(workload, path, 10_000) == 10_000
+        replay = FileTraceWorkload("replay", path)
+        assert take(replay, 10_000) == take(workload, 10_000)
