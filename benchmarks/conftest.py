@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.parallel import ParallelRunner, set_default_runner
 from repro.experiments.reporting import FigureResult, format_figure
+from repro.fabric import ParallelRunner, set_default_runner
 
 
 def pytest_addoption(parser):

@@ -1,4 +1,4 @@
-"""The execution fabric: jobs, store, backends, scheduler, facade API.
+"""The execution fabric: jobs, store, backends, scheduler, runner API.
 
 The fabric decomposes experiment execution into four seams (see
 ``docs/fabric.md``):
@@ -8,16 +8,18 @@ The fabric decomposes experiment execution into four seams (see
 * :mod:`repro.fabric.store` — the shared artifact store: the
   integrity-checked on-disk :class:`ResultCache`;
 * :mod:`repro.fabric.backends` — where attempts run: the
-  :class:`Backend` protocol with serial / thread / process-pool
+  :class:`Backend` protocol with serial and process-pool
   implementations (``Backend.execute`` anchors lint rule RPR008's
   worker-determinism closure);
 * :mod:`repro.fabric.scheduler` — the submission queue: many concurrent
   matrices deduplicated by ``job_key``, retry/timeout/failure policy per
-  unique cell, streaming delivery via ``Submission.iter_results``.
+  unique cell, fault plans carried per scheduler, streaming delivery via
+  ``Submission.iter_results``.
 
-:mod:`repro.fabric.api` keeps the historical ``ParallelRunner`` /
-``run_jobs`` surface as thin facades; ``repro.experiments.parallel``
-re-exports everything here for backward compatibility.
+:mod:`repro.fabric.api` holds ``ParallelRunner`` (knobs and lifetime
+counters over a fresh scheduler per run) and the ``run_jobs`` /
+``run_iter`` helpers over the process-wide default runner.  Import
+everything from this package.
 """
 
 from .api import (
@@ -35,7 +37,6 @@ from .backends import (
     CellCompletion,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     execute_cell,
     make_backend,
 )
@@ -87,7 +88,6 @@ __all__ = [
     "SimJob",
     "SimulationError",
     "Submission",
-    "ThreadPoolBackend",
     "configure_default_runner",
     "execute_cell",
     "get_default_runner",

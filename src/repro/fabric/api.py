@@ -1,24 +1,19 @@
-"""Facade API: the historical ``ParallelRunner`` surface over the fabric.
+"""The runner API: ``ParallelRunner`` and the process-wide default runner.
 
-``ParallelRunner`` keeps its constructor, knobs, counters, reports and
-error contract bit-for-bit — it is now a thin shell that builds a fresh
-:class:`~repro.fabric.scheduler.Scheduler` per ``run()``/``run_iter()``
-call (so every run re-probes the shared cache, exactly like the legacy
-loop did) and passes itself as the scheduler's sink, so the historical
-counters (``cache_hits``, ``simulations``, ...) and the ``_finish`` /
-``_log`` seams keep working, including for tests that monkeypatch them.
-
-New in the fabric: :meth:`ParallelRunner.run_iter` (and the module-level
-:func:`run_iter`) streams ``(index, CellReport, result)`` tuples as cells
-finish instead of blocking until the whole matrix drains.  For long-lived
-multi-submission scheduling — many concurrent matrices deduplicated
-against each other — construct a :class:`Scheduler` directly.
+``ParallelRunner`` resolves its knobs once and holds lifetime counters;
+each ``run()``/``run_iter()`` call submits to a fresh
+:class:`~repro.fabric.scheduler.Scheduler` (so every run re-probes the
+shared cache and carries its own fault plan) with the runner as the
+scheduler's counter sink.  :meth:`ParallelRunner.run_iter` (and the
+module-level :func:`run_iter`) streams ``(index, CellReport, result)``
+tuples as cells finish.  For long-lived multi-submission scheduling —
+many concurrent matrices deduplicated against each other — construct a
+:class:`Scheduler` directly.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -59,10 +54,11 @@ class ParallelRunner:
       worker killed by the OS) may be rebuilt, requeuing the in-flight
       cells (default 2; a separate budget from per-cell retries).
     * ``faults`` — a programmatic :class:`repro.faults.FaultPlan` (or spec
-      string) for this runner; default: the ambient ``REPRO_FAULTS`` plan.
+      string) for this runner's runs only; default: the ambient
+      ``REPRO_FAULTS`` plan.
     * ``backend`` — force an execution backend by registry name
-      (``serial`` / ``thread`` / ``process``); default: auto-selection
-      (serial for one worker or one pending cell, process pool otherwise).
+      (``serial`` / ``process``); default: auto-selection (serial for one
+      worker or one pending cell, process pool otherwise).
 
     Unset knobs fall back to ``REPRO_FAILURE_POLICY``, ``REPRO_MAX_RETRIES``,
     ``REPRO_CELL_TIMEOUT`` and ``REPRO_POOL_RESTARTS``.  ``run`` preserves
@@ -94,7 +90,7 @@ class ParallelRunner:
         )
         self._config = config
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        # Historical knob attributes (tests and callers read these).
+        # Resolved knobs, readable as attributes.
         self.workers = config.workers
         self.progress = config.progress
         self.policy = config.policy
@@ -104,52 +100,18 @@ class ParallelRunner:
         self.max_pool_restarts = config.max_pool_restarts
         self.fault_plan = config.fault_plan
         self.backend = config.backend
-        # Lifetime counters (tests and progress summaries read these).
+        # Lifetime counters, filled in by each run's scheduler (its sink).
         self.cache_hits = 0
         self.cache_misses = 0
         self.simulations = 0
         self.failed_cells = 0
         self.last_report: Optional[MatrixReport] = None
-        self.reports: List[MatrixReport] = []
-
-    # ----------------------------------------------------------------- #
-    # Scheduler sink hooks (legacy bodies; tests monkeypatch these)
-    # ----------------------------------------------------------------- #
-
-    def _log(self, message: str) -> None:
-        if self.progress:
-            print(f"[runner] {message}", file=sys.stderr, flush=True)
-
-    def _finish(
-        self,
-        job: SimJob,
-        key: Optional[str],
-        outcome: Tuple[SimulationResult, float],
-        done: int,
-        total: int,
-    ) -> SimulationResult:
-        result, elapsed = outcome
-        self.simulations += 1
-        if self.cache is not None and key is not None:
-            try:
-                self.cache.store(key, result)
-            except Exception as exc:
-                # A result that cannot be cached is still a result; surface
-                # the problem without failing the cell.
-                self.cache.store_failures += 1
-                self._log(f"cache store failed for {job.cell}: {exc}")
-        self._log(f"{done}/{total} {job.cell}: {elapsed:.1f}s")
-        return result
-
-    # ----------------------------------------------------------------- #
 
     def _submit(self, jobs: Iterable[SimJob]) -> Submission:
         """Fresh scheduler per call: every run re-probes the shared cache,
         preserving the legacy per-run hit/miss accounting."""
-        scheduler = Scheduler(self._config, cache=self.cache, sink=self)
-        submission = scheduler.submit(jobs)
+        submission = Scheduler(self._config, cache=self.cache, sink=self).submit(jobs)
         self.last_report = submission.report
-        self.reports.append(submission.report)
         return submission
 
     def run(self, jobs: Iterable[SimJob]) -> List[SimulationResult]:

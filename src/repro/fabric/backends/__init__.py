@@ -1,18 +1,18 @@
 """Execution backends: where cell attempts run.
 
 The :class:`~.base.Backend` protocol is the fabric's execution seam —
-see ``docs/fabric.md``.  Three implementations ship:
+see ``docs/fabric.md``.  Two implementations ship:
 
 * ``serial`` — inline on the scheduler's driving thread (bit-identical to
-  the pre-fabric serial path; SIGALRM deadlines work);
-* ``process`` — a ``ProcessPoolExecutor`` with broken-pool recovery and
-  fault-plan initializers (the legacy pool path);
-* ``thread`` — a ``ThreadPoolExecutor`` for cheap concurrency tests.
+  the pre-fabric serial path; SIGALRM deadlines work), consulting the
+  scheduler's fault plan directly;
+* ``process`` — a ``ProcessPoolExecutor`` with broken-pool recovery, whose
+  initializer installs the scheduler's fault plan in each worker.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ...common.registry import Registry
 from ...faults import plan as fault_plans
@@ -20,19 +20,16 @@ from .base import (
     Backend,
     BackendBroken,
     CellCompletion,
-    _cell_deadline,
     execute_cell,
 )
 from .pool import ProcessPoolBackend
 from .serial import SerialBackend
-from .threads import ThreadPoolBackend
 
 #: Backend registry: name -> factory(workers, fault_plan).  Registered like
 #: the policy/prefetcher registries so alternative substrates (a remote
 #: dispatch backend, an async queue) plug in without touching the scheduler.
 BACKENDS: Registry[Callable[..., Backend]] = Registry("backend")
-BACKENDS.register("serial", lambda workers, fault_plan=None: SerialBackend())
-BACKENDS.register("thread", lambda workers, fault_plan=None: ThreadPoolBackend(workers))
+BACKENDS.register("serial", lambda workers, fault_plan=None: SerialBackend(fault_plan))
 BACKENDS.register(
     "process", lambda workers, fault_plan=None: ProcessPoolBackend(workers, fault_plan)
 )
@@ -43,7 +40,7 @@ def make_backend(
     workers: int,
     fault_plan: Optional["fault_plans.FaultPlan"] = None,
 ) -> Backend:
-    """Build a registered backend (``serial`` / ``thread`` / ``process``)."""
+    """Build a registered backend (``serial`` / ``process``)."""
     return BACKENDS.get(name)(workers, fault_plan=fault_plan)
 
 
@@ -54,8 +51,6 @@ __all__ = [
     "CellCompletion",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
-    "_cell_deadline",
     "execute_cell",
     "make_backend",
 ]

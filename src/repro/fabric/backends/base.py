@@ -12,8 +12,9 @@ actually runs a simulation.  It is the anchor of lint rule RPR008
 (worker determinism): everything reachable from it must be free of
 unseeded randomness, wall-clock dependence and module-global writes, so a
 cell's result depends only on the job description — never on the backend,
-the worker, or the attempt number.  Keep it module-level picklable: it is
-the callable shipped to process-pool workers.
+the worker, or the attempt number.  Its fault plan is an argument, never
+process state, so concurrent schedulers cannot see each other's.  Keep it
+module-level: process-pool workers run it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from ...core.multicore import simulate_multicore
 from ...core.simulator import SimulationResult, simulate, simulate_smt
 from ...faults import inject as fault_inject
+from ...faults.plan import FaultPlan
 from ..jobs import CellTimeout, SimJob
 
 
@@ -63,17 +65,20 @@ def _cell_deadline(seconds: Optional[float]) -> Iterator[None]:
 
 
 def execute_cell(
-    job: SimJob, attempt: int = 0, timeout: Optional[float] = None
+    job: SimJob,
+    attempt: int = 0,
+    timeout: Optional[float] = None,
+    plan: Optional[FaultPlan] = None,
 ) -> Tuple[SimulationResult, float]:
-    """Run one cell; returns (result, wall seconds).  Must stay module-level
-    picklable — it is the function shipped to pool workers."""
+    """Run one cell; returns (result, wall seconds).  ``plan`` is the fault
+    plan whose worker sites this attempt consults (``None``: no faults)."""
     start = time.perf_counter()
     with _cell_deadline(timeout):
-        if attempt == 0:
+        if attempt == 0 and plan is not None:
             # Worker faults arm only a cell's first attempt, so retried and
             # requeued cells run clean and every chaos run converges.
-            fault_inject.maybe_crash(job.cell)
-            fault_inject.maybe_hang(job.cell)
+            fault_inject.maybe_crash(plan, job.cell)
+            fault_inject.maybe_hang(plan, job.cell)
         topology = job.resolved_topology() if job.topology is not None else None
         if topology is not None and topology.num_cores > 1:
             result = simulate_multicore(
@@ -133,7 +138,7 @@ class BackendBroken(RuntimeError):
 
 
 class Backend(ABC):
-    """Where cell attempts run.  Implementations: serial, threads, processes.
+    """Where cell attempts run.  Implementations: serial, processes.
 
     The contract the scheduler relies on:
 
@@ -153,6 +158,8 @@ class Backend(ABC):
 
     #: Maximum useful in-flight attempts (1 for serial execution).
     capacity: int = 1
+    #: The scheduler's fault plan; attempts consult it, never a global.
+    fault_plan: Optional[FaultPlan] = None
 
     @abstractmethod
     def submit(
@@ -174,8 +181,8 @@ class Backend(ABC):
         """Run one cell attempt to completion on the calling thread.
 
         The shared execution path every backend funnels through (pool
-        backends ship this module's :func:`execute_cell` to their workers,
+        backends run this module's :func:`execute_cell` in their workers,
         which is the same code path).  Lint rule RPR008 anchors its
         worker-determinism closure here.
         """
-        return execute_cell(job, attempt, timeout)
+        return execute_cell(job, attempt, timeout, self.fault_plan)

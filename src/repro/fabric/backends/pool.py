@@ -6,10 +6,11 @@ crashes (an OS kill, an injected ``worker.crash``) surface as
 :class:`~.base.BackendBroken` naming the interrupted attempts, carrying
 any completions that finished before the break so no result is lost.  The
 scheduler decides what to requeue; the next :meth:`submit` builds a fresh
-pool.  Explicit fault plans reach the workers through a pool initializer
-(env-armed plans get there for free — workers inherit the environment).
-Per-cell SIGALRM deadlines work: a pool worker's task thread is its
-process's main thread.
+pool.  The scheduler's fault plan reaches the workers through the pool
+initializer, which installs it as each worker's process plan (a worker
+serves one pool, so its plan cannot be overwritten mid-run, and the
+plan's ``max`` fire caps count per worker process).  Per-cell SIGALRM
+deadlines work: a pool worker's task thread is its process's main thread.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ from ..jobs import SimJob
 from .base import Backend, BackendBroken, CellCompletion, execute_cell
 
 
+def _execute_in_worker(
+    job: SimJob, attempt: int, timeout: Optional[float]
+) -> Tuple[SimulationResult, float]:
+    """Pool task: run the cell under the plan this worker's initializer
+    installed (or the ``REPRO_FAULTS`` it inherited)."""
+    return execute_cell(job, attempt, timeout, fault_plans.active_plan())
+
+
 class ProcessPoolBackend(Backend):
     """Fan attempts out over a ``ProcessPoolExecutor``, rebuilt on breakage."""
 
@@ -34,7 +43,7 @@ class ProcessPoolBackend(Backend):
     ) -> None:
         self.workers = max(1, int(workers))
         self.capacity = self.workers
-        self._fault_plan = fault_plan
+        self.fault_plan = fault_plan
         self._hint = self.workers
         self._pool: Optional[ProcessPoolExecutor] = None
         self._futures: Dict[
@@ -48,12 +57,10 @@ class ProcessPoolBackend(Backend):
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             kwargs: Dict[str, object] = {}
-            if self._fault_plan is not None:
-                # Explicit plans must reach the workers; env-armed plans get
-                # there for free because workers inherit the environment.
+            if self.fault_plan is not None:
                 kwargs.update(
                     initializer=fault_plans.install_plan,
-                    initargs=(self._fault_plan.spec_string(),),
+                    initargs=(self.fault_plan.spec_string(),),
                 )
             self._pool = ProcessPoolExecutor(
                 max_workers=min(self.workers, self._hint), **kwargs
@@ -74,7 +81,7 @@ class ProcessPoolBackend(Backend):
     ) -> None:
         pool = self._ensure_pool()
         try:
-            future = pool.submit(execute_cell, job, attempt, timeout)
+            future = pool.submit(_execute_in_worker, job, attempt, timeout)
         except (BrokenProcessPool, RuntimeError):
             # The pool broke between harvest and submit; this attempt never
             # started, so the cell keeps its attempt count (``unstarted``),

@@ -4,13 +4,15 @@ Bit-identical to the pre-fabric serial code path — no pool, no threads, no
 pickling.  Because the attempt runs on the caller's thread (the process's
 main thread in CLI runs and tests), :func:`~.base._cell_deadline` can arm
 SIGALRM, so per-cell timeouts work exactly as they did in the serial
-``ParallelRunner``.
+``ParallelRunner``.  Worker fault sites consult the plan the scheduler
+built this backend with.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
+from ...faults.plan import FaultPlan
 from ..jobs import SimJob
 from .base import Backend, CellCompletion
 
@@ -20,7 +22,8 @@ class SerialBackend(Backend):
 
     capacity = 1
 
-    def __init__(self) -> None:
+    def __init__(self, fault_plan: Optional[FaultPlan] = None) -> None:
+        self.fault_plan = fault_plan
         self._queued: List[CellCompletion] = []
 
     def submit(

@@ -23,11 +23,21 @@ consumer raises :class:`~repro.fabric.jobs.SimulationError`); ``continue``
 finishes everything and each submission raises a :class:`MatrixError`
 carrying its report and partial results at exhaustion.  Event strings,
 log lines and report shapes are unchanged from the monolith — CI greps
-and the chaos acceptance tests run against this code through the facade.
+and the chaos acceptance tests run against this code through
+``ParallelRunner``.
+
+Fault plans travel with the scheduler, never through process state: it
+resolves one plan at construction (``config.fault_plan``, else the
+ambient ``REPRO_FAULTS`` plan) and hands it explicitly to submit-time
+attribution, the backend (serial attempts, pool initializers) and every
+cache store.  ``ParallelRunner`` builds a fresh scheduler per run, so
+each of its submissions carries its own plan, and concurrent runners with
+different plans cannot observe each other's.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -49,7 +59,6 @@ from ..core.simulator import SimulationResult
 from ..faults import plan as fault_plans
 from .backends import Backend, BackendBroken, CellCompletion, make_backend
 from .jobs import (
-    CONTINUE,
     FAIL_FAST,
     FAILURE_POLICIES,
     CellTimeout,
@@ -232,8 +241,14 @@ class SchedulerConfig:
             )
         if max_retries is None:
             max_retries = _env_int("REPRO_MAX_RETRIES", 0)
+        timeout_knob = "timeout (timeout= or --cell-timeout)"
         if timeout is None:
-            timeout = _env_float("REPRO_CELL_TIMEOUT", None)
+            timeout_knob = "REPRO_CELL_TIMEOUT"
+            timeout = _env_float(timeout_knob, None)
+        if timeout is not None and math.isnan(timeout):
+            raise ConfigurationError(
+                f"{timeout_knob} must be a number of seconds, got nan"
+            )
         if max_pool_restarts is None:
             max_pool_restarts = _env_int("REPRO_POOL_RESTARTS", 2)
         if isinstance(faults, str):
@@ -251,7 +266,8 @@ class SchedulerConfig:
             progress=bool(progress),
             policy=policy,
             max_retries=max(0, int(max_retries)),
-            timeout=timeout if timeout and timeout > 0 else None,
+            # 0, negative and infinite budgets all mean "no limit".
+            timeout=timeout if timeout and 0 < timeout < math.inf else None,
             backoff_base=max(0.0, float(backoff_base)),
             max_pool_restarts=max(0, int(max_pool_restarts)),
             fault_plan=fault_plan,
@@ -366,12 +382,10 @@ class Scheduler:
     """Cross-submission deduplicating cell scheduler (see module docstring).
 
     ``cache`` is the shared artifact store (``None`` disables caching).
-    ``sink`` receives counters and per-cell hooks — any object with the
-    runner counter attributes (``cache_hits``, ``cache_misses``,
-    ``simulations``, ``failed_cells``) plus ``_finish(job, key, outcome,
-    done, total)`` and ``_log(message)``; the facade ``ParallelRunner``
-    passes itself so its historical counters and monkeypatch seams keep
-    working.  By default the scheduler is its own sink.
+    ``sink`` receives the counters — any object with ``cache_hits``,
+    ``cache_misses``, ``simulations`` and ``failed_cells`` attributes;
+    ``ParallelRunner`` passes itself so its lifetime counters span runs.
+    By default the scheduler is its own sink.
     """
 
     def __init__(
@@ -383,6 +397,8 @@ class Scheduler:
         self.config = config or SchedulerConfig()
         self.cache = cache
         self.sink = sink if sink is not None else self
+        #: The plan every fault site of this scheduler consults.
+        self.fault_plan = self.config.fault_plan or fault_plans.active_plan()
         # Own counters (used when the scheduler is its own sink; the
         # dedup counter is always scheduler-level).
         self.cache_hits = 0
@@ -406,7 +422,7 @@ class Scheduler:
         self._submissions: List[Submission] = []
 
     # ------------------------------------------------------------- #
-    # Default sink implementation (legacy runner bodies)
+    # Per-cell hooks
     # ------------------------------------------------------------- #
 
     def _log(self, message: str) -> None:
@@ -422,16 +438,16 @@ class Scheduler:
         total: int,
     ) -> SimulationResult:
         result, elapsed = outcome
-        self.simulations += 1
+        self.sink.simulations += 1
         if self.cache is not None and key is not None:
             try:
-                self.cache.store(key, result)
+                self.cache.store(key, result, self.fault_plan)
             except Exception as exc:
                 # A result that cannot be cached is still a result; surface
                 # the problem without failing the cell.
                 self.cache.store_failures += 1
-                self.sink._log(f"cache store failed for {job.cell}: {exc}")
-        self.sink._log(f"{done}/{total} {job.cell}: {elapsed:.1f}s")
+                self._log(f"cache store failed for {job.cell}: {exc}")
+        self._log(f"{done}/{total} {job.cell}: {elapsed:.1f}s")
         return result
 
     # ------------------------------------------------------------- #
@@ -442,77 +458,76 @@ class Scheduler:
         """Register a matrix; cells already known to the scheduler attach
         to the existing state instead of executing again."""
         sub = Submission(self, jobs)
-        with fault_plans.plan_scope(self.config.fault_plan):
-            with self._cond:
-                if self._abort is not None:
-                    raise self._abort
-                self._submissions.append(sub)
-                sub.report.pool_restarts = self._restarts
-                keys = [job_key(job) for job in sub.jobs]
-                # Fix the progress denominator before logging any cell so
-                # "done/total" lines always show this submission's full
-                # contribution (matches the legacy upfront `total`).
-                self.total += sum(
-                    1 for k in dict.fromkeys(keys) if k not in self._states
-                )
-                fresh: List[str] = []
-                for index, (job, key) in enumerate(zip(sub.jobs, keys)):
-                    cell = sub.report.cells[index]
-                    state = self._states.get(key)
-                    if state is not None:
-                        self.dedup_hits += 1
-                        state.watchers.append((sub, index))
-                        if state.settled:
-                            self._deliver(sub, index, state)
-                        else:
-                            cell.injected = state.report_cell.injected
-                        continue
-                    state = _CellState(key, job, self._order, cell)
-                    self._order += 1
-                    self._states[key] = state
+        with self._cond:
+            if self._abort is not None:
+                raise self._abort
+            self._submissions.append(sub)
+            sub.report.pool_restarts = self._restarts
+            keys = [job_key(job) for job in sub.jobs]
+            # Fix the progress denominator before logging any cell so
+            # "done/total" lines always show this submission's full
+            # contribution (matches the legacy upfront `total`).
+            self.total += sum(
+                1 for k in dict.fromkeys(keys) if k not in self._states
+            )
+            fresh: List[str] = []
+            for index, (job, key) in enumerate(zip(sub.jobs, keys)):
+                cell = sub.report.cells[index]
+                state = self._states.get(key)
+                if state is not None:
+                    self.dedup_hits += 1
                     state.watchers.append((sub, index))
-                    if self.cache is not None:
-                        state.cache_key = key
-                        cached = self.cache.load(key)
-                        if self.cache.last_quarantined:
-                            cell.events.append(
-                                "quarantined corrupt cache entry "
-                                f"({self.cache.last_quarantined}); re-simulating"
-                            )
-                        if cached is not None:
-                            self.sink.cache_hits += 1
-                            self.done += 1
-                            state.result = cached
-                            cell.status = "cached"
-                            self.sink._log(
-                                f"{self.done}/{self.total} {job.cell}: cached"
-                            )
-                            self._settle(state)
-                            continue
-                        self.sink.cache_misses += 1
-                    fresh.append(key)
+                    if state.settled:
+                        self._deliver(sub, index, state)
+                    else:
+                        cell.injected = state.report_cell.injected
+                    continue
+                state = _CellState(key, job, self._order, cell)
+                self._order += 1
+                self._states[key] = state
+                state.watchers.append((sub, index))
+                if self.cache is not None:
+                    state.cache_key = key
+                    cached = self.cache.load(key)
+                    if self.cache.last_quarantined:
+                        cell.events.append(
+                            "quarantined corrupt cache entry "
+                            f"({self.cache.last_quarantined}); re-simulating"
+                        )
+                    if cached is not None:
+                        self.sink.cache_hits += 1
+                        self.done += 1
+                        state.result = cached
+                        cell.status = "cached"
+                        self._log(
+                            f"{self.done}/{self.total} {job.cell}: cached"
+                        )
+                        self._settle(state)
+                        continue
+                    self.sink.cache_misses += 1
+                fresh.append(key)
 
-                plan = fault_plans.active_plan()
-                if plan is not None:
-                    for key in fresh:
-                        state = self._states[key]
-                        injected = [
-                            site for site in fault_plans.WORKER_SITES
-                            if plan.would_fire(site, state.job.cell)
-                        ]
-                        if state.cache_key is not None:
-                            injected.extend(
-                                site for site in fault_plans.CACHE_SITES
-                                if plan.would_fire(site, state.cache_key)
-                            )
-                        state.report_cell.injected = tuple(injected)
-                        for watcher, index in state.watchers[1:]:
-                            watcher.report.cells[index].injected = (
-                                state.report_cell.injected
-                            )
+            plan = self.fault_plan
+            if plan is not None:
+                for key in fresh:
+                    state = self._states[key]
+                    injected = [
+                        site for site in fault_plans.WORKER_SITES
+                        if plan.would_fire(site, state.job.cell)
+                    ]
+                    if state.cache_key is not None:
+                        injected.extend(
+                            site for site in fault_plans.CACHE_SITES
+                            if plan.would_fire(site, state.cache_key)
+                        )
+                    state.report_cell.injected = tuple(injected)
+                    for watcher, index in state.watchers[1:]:
+                        watcher.report.cells[index].injected = (
+                            state.report_cell.injected
+                        )
 
-                self._queue.extend(fresh)
-                self._cond.notify_all()
+            self._queue.extend(fresh)
+            self._cond.notify_all()
         return sub
 
     # ------------------------------------------------------------- #
@@ -578,9 +593,7 @@ class Scheduler:
                         if self.config.workers == 1 or len(self._queue) == 1
                         else "process"
                     )
-                self._backend = make_backend(
-                    name, self.config.workers, self.config.fault_plan
-                )
+                self._backend = make_backend(name, self.config.workers, self.fault_plan)
                 opener = getattr(self._backend, "open", None)
                 if opener is not None:
                     opener(len(self._queue))
@@ -590,34 +603,33 @@ class Scheduler:
         """One fill + drain cycle.  Runs WITHOUT the scheduler lock held
         (takes it briefly to mutate state); exactly one thread is in here
         at a time (the ``_driving`` flag)."""
-        with fault_plans.plan_scope(self.config.fault_plan):
-            backend = self._ensure_backend()
-            while True:
-                with self._cond:
-                    if not self._queue or len(self._inflight) >= backend.capacity:
-                        break
-                    key = self._queue.popleft()
-                    state = self._states[key]
-                    attempt = state.report_cell.attempts
-                    self._inflight.add(key)
-                try:
-                    backend.submit(key, state.job, attempt, self.config.timeout)
-                except BackendBroken as broken:
-                    self._on_broken(broken)
-                    return
+        backend = self._ensure_backend()
+        while True:
             with self._cond:
-                idle = not self._inflight
-            if idle:
-                self._close_if_idle()
-                return
+                if not self._queue or len(self._inflight) >= backend.capacity:
+                    break
+                key = self._queue.popleft()
+                state = self._states[key]
+                attempt = state.report_cell.attempts
+                self._inflight.add(key)
             try:
-                completions = backend.drain()
+                backend.submit(key, state.job, attempt, self.config.timeout)
             except BackendBroken as broken:
                 self._on_broken(broken)
                 return
-            retries = self._process_completions(completions)
-            self._requeue_with_backoff(retries)
+        with self._cond:
+            idle = not self._inflight
+        if idle:
             self._close_if_idle()
+            return
+        try:
+            completions = backend.drain()
+        except BackendBroken as broken:
+            self._on_broken(broken)
+            return
+        retries = self._process_completions(completions)
+        self._requeue_with_backoff(retries)
+        self._close_if_idle()
 
     def _process_completions(
         self, completions: Sequence[CellCompletion]
@@ -653,7 +665,7 @@ class Scheduler:
                 assert completion.outcome is not None
                 self.done += 1
                 cell.elapsed = completion.outcome[1]
-                state.result = self.sink._finish(
+                state.result = self._finish(
                     state.job, state.cache_key, completion.outcome,
                     self.done, self.total,
                 )
@@ -725,7 +737,7 @@ class Scheduler:
                     )
             else:
                 self._queue.extend(requeued)
-                self.sink._log(
+                self._log(
                     f"worker pool broken; rebuilding "
                     f"(restart {self._restarts}/{self.config.max_pool_restarts}, "
                     f"{len(interrupted)} cell(s) requeued)"
@@ -740,7 +752,7 @@ class Scheduler:
         cell.status = "timeout" if timed_out else "failed"
         cell.error = error
         self.sink.failed_cells += 1
-        self.sink._log(
+        self._log(
             f"{cell.cell}: {cell.status} after {cell.attempts} attempt(s): {error}"
         )
         self._settle(state)
@@ -752,7 +764,7 @@ class Scheduler:
             self.config.backoff_base * (2.0 ** (attempt - 1))
             * _jitter(cell, attempt)
         )
-        self.sink._log(
+        self._log(
             f"{cell}: backing off {delay:.2f}s before attempt {attempt + 1}"
         )
         time.sleep(delay)

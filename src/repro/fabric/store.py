@@ -14,11 +14,11 @@ import hashlib
 import os
 import pickle
 import time
+import uuid
 from pathlib import Path
 from typing import Optional, Union
 
 from ..core.simulator import SimulationResult
-from ..faults import inject as fault_inject
 from ..faults import plan as fault_plans
 
 #: Entry layout: magic, then sha256(payload), then the pickled payload.
@@ -35,13 +35,14 @@ STALE_TMP_SECONDS = 3600.0
 class ResultCache:
     """On-disk :class:`SimulationResult` store, one checksummed file per cell.
 
-    Writes are atomic (temp file + ``os.replace``; the temp file is removed
-    even when the write fails), so concurrent workers or concurrent figure
-    drivers can share one cache directory.  Loads verify a sha256 trailer
-    over the payload: an entry that fails verification is moved to a
-    ``quarantine/`` subdirectory — kept for forensics, never served — and
-    the cell is transparently re-simulated.  Delete the directory (or bump
-    :data:`repro.fabric.jobs.CACHE_VERSION`) to invalidate.
+    Writes are atomic (a per-writer temp file + ``os.replace``; the temp
+    file is removed even when the write fails), so concurrent threads,
+    workers or figure drivers can share one cache directory.  Loads verify
+    a sha256 trailer over the payload: an entry that fails verification is
+    moved to a ``quarantine/`` subdirectory — kept for forensics, never
+    served — and the cell is transparently re-simulated.  Delete the
+    directory (or bump :data:`repro.fabric.jobs.CACHE_VERSION`) to
+    invalidate.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -94,17 +95,27 @@ class ResultCache:
             return None
         return result if isinstance(result, SimulationResult) else None
 
-    def store(self, key: str, result: SimulationResult) -> None:
+    def store(
+        self,
+        key: str,
+        result: SimulationResult,
+        plan: Optional["fault_plans.FaultPlan"] = None,
+    ) -> None:
+        """Write ``result`` under ``key``; ``plan`` arms the cache fault
+        sites for this store (``None``: no faults)."""
         path = self.path(key)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         data = _CACHE_MAGIC + hashlib.sha256(payload).digest() + payload
         # Fault-injection sites: corrupt the bytes *after* the digest was
         # computed, exactly like bit rot or a torn write would.
-        if fault_inject.should_fire(fault_plans.CACHE_CORRUPT_WRITE, key):
-            data = data[:-1] + bytes([data[-1] ^ 0xFF])
-        if fault_inject.should_fire(fault_plans.CACHE_TORN_WRITE, key):
-            data = data[: max(len(_CACHE_MAGIC) + _DIGEST_LEN + 1, len(data) // 2)]
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        if plan is not None:
+            if plan.should_fire(fault_plans.CACHE_CORRUPT_WRITE, key):
+                data = data[:-1] + bytes([data[-1] ^ 0xFF])
+            if plan.should_fire(fault_plans.CACHE_TORN_WRITE, key):
+                data = data[: max(len(_CACHE_MAGIC) + _DIGEST_LEN + 1, len(data) // 2)]
+        # Unique per writer: concurrent stores of one key (threads of one
+        # process included) each replace from their own complete file.
+        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
         try:
             tmp.write_bytes(data)
             os.replace(tmp, path)

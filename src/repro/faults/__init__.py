@@ -1,9 +1,9 @@
 """Deterministic fault injection for the experiment-execution stack.
 
-The resilience machinery in :mod:`repro.experiments.parallel` — per-cell
-retries, wall-clock timeouts, ``BrokenProcessPool`` recovery, checksummed
-cache entries with quarantine — is only trustworthy if every recovery path
-is exercised by *real* injected faults, not mocks.  This package provides
+The resilience machinery in :mod:`repro.fabric` — per-cell retries,
+wall-clock timeouts, ``BrokenProcessPool`` recovery, checksummed cache
+entries with quarantine — is only trustworthy if every recovery path is
+exercised by *real* injected faults, not mocks.  This package provides
 that harness:
 
 * **Named injection sites** (:data:`SITES`): ``worker.crash`` (the worker
@@ -19,9 +19,13 @@ that harness:
   test can *predict* which cells will be hit (:meth:`FaultPlan.would_fire`).
 * **Two arming surfaces**: the ``REPRO_FAULTS`` environment variable
   (grammar ``site[:prob[:seed[:max[:match]]]]``, comma-separated; see
-  :func:`parse_spec`) picked up lazily by every process including pool
-  workers, or a programmatic :class:`FaultPlan` installed with
-  :func:`install_plan` / shipped to workers via the pool initializer.
+  :func:`parse_spec`), or a programmatic :class:`FaultPlan` passed as
+  ``faults=`` to a runner or scheduler config.  A scheduler resolves its
+  plan once (``faults=`` wins over the ambient :func:`active_plan`) and
+  hands it explicitly to every site — the serial executor, cache stores
+  and attribution — so concurrent schedulers with different plans never
+  share one.  Pool workers receive it through the pool initializer
+  (:func:`install_plan`).
 
 Worker-site faults (``worker.*``) are consulted only on a cell's *first*
 attempt — a retried or requeued cell runs clean — so every chaos run
@@ -36,7 +40,6 @@ from .inject import (
     hang_seconds,
     maybe_crash,
     maybe_hang,
-    should_fire,
 )
 from .plan import (
     CACHE_CORRUPT_WRITE,
@@ -53,7 +56,6 @@ from .plan import (
     active_plan,
     install_plan,
     parse_spec,
-    plan_scope,
 )
 
 __all__ = [
@@ -77,6 +79,4 @@ __all__ = [
     "maybe_crash",
     "maybe_hang",
     "parse_spec",
-    "plan_scope",
-    "should_fire",
 ]

@@ -1,8 +1,9 @@
 """Injection points: what happens when an armed site fires.
 
 ``worker.*`` sites act here (the process dies, or the cell sleeps); the
-``cache.*`` sites only *decide* here — the byte-level corruption lives in
-``ResultCache.store``, which owns the file format.
+``cache.*`` sites are decided by ``ResultCache.store``, which owns the
+file format.  Every site takes the plan to consult explicitly — the
+fabric resolves one per scheduler, never from shared state mid-run.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 import time
 
-from .plan import WORKER_CRASH, WORKER_HANG, active_plan
+from .plan import WORKER_CRASH, WORKER_HANG, FaultPlan
 
 #: Exit status of a worker killed by ``worker.crash`` (visible in pool
 #: diagnostics; any non-zero hard exit breaks a ``ProcessPoolExecutor``).
@@ -40,13 +41,7 @@ def hang_seconds() -> float:
         return _DEFAULT_HANG_SECONDS
 
 
-def should_fire(site: str, key: str) -> bool:
-    """Consult the active plan at an injection point (counts the fire)."""
-    plan = active_plan()
-    return plan is not None and plan.should_fire(site, key)
-
-
-def maybe_crash(key: str) -> None:
+def maybe_crash(plan: FaultPlan, key: str) -> None:
     """``worker.crash``: die the way the OOM killer would.
 
     In a pool worker the process hard-exits, so the parent observes a
@@ -55,7 +50,7 @@ def maybe_crash(key: str) -> None:
     process would take the whole run down, so the site degrades to raising
     :class:`InjectedWorkerCrash`, which exercises the retry path instead.
     """
-    if not should_fire(WORKER_CRASH, key):
+    if not plan.should_fire(WORKER_CRASH, key):
         return
     if multiprocessing.parent_process() is not None:
         sys.stderr.flush()
@@ -63,12 +58,12 @@ def maybe_crash(key: str) -> None:
     raise InjectedWorkerCrash(f"injected worker crash at cell {key!r}")
 
 
-def maybe_hang(key: str) -> None:
+def maybe_hang(plan: FaultPlan, key: str) -> None:
     """``worker.hang``: stall the cell past its wall-clock budget.
 
     The sleep is interruptible by the runner's per-cell SIGALRM deadline,
     which is exactly the recovery path this site exists to exercise.
     """
-    if not should_fire(WORKER_HANG, key):
+    if not plan.should_fire(WORKER_HANG, key):
         return
     time.sleep(hang_seconds())

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 WORKER_CRASH = "worker.crash"
 WORKER_HANG = "worker.hang"
@@ -48,7 +47,7 @@ SITES: Tuple[str, ...] = (
     CACHE_CORRUPT_WRITE,
     CACHE_TORN_WRITE,
 )
-#: Sites consulted inside ``_execute`` (first attempt of a cell only).
+#: Sites consulted inside ``execute_cell`` (first attempt of a cell only).
 WORKER_SITES: Tuple[str, ...] = (WORKER_CRASH, WORKER_HANG)
 #: Sites consulted inside ``ResultCache.store``.
 CACHE_SITES: Tuple[str, ...] = (CACHE_CORRUPT_WRITE, CACHE_TORN_WRITE)
@@ -205,9 +204,11 @@ def active_plan() -> Optional[FaultPlan]:
     """The plan governing this process, or ``None`` when nothing is armed.
 
     A programmatically installed plan (:func:`install_plan`) wins;
-    otherwise the plan is parsed lazily from ``REPRO_FAULTS`` — which pool
-    workers inherit, so env-armed faults fire in workers with no extra
-    plumbing.
+    otherwise the plan is parsed lazily from ``REPRO_FAULTS``.  The fabric
+    reads this once per scheduler (and once per task in a pool worker,
+    whose initializer installed the scheduler's plan) and then hands the
+    plan explicitly to every injection site, so concurrent schedulers
+    with different plans never see each other's.
     """
     global _env_cache
     if _installed is not None:
@@ -234,15 +235,3 @@ def install_plan(
     _installed = plan
     return previous
 
-
-@contextmanager
-def plan_scope(plan: Union[FaultPlan, str, None]) -> Iterator[None]:
-    """Temporarily install ``plan`` (no-op when ``plan`` is ``None``)."""
-    if plan is None:
-        yield
-        return
-    previous = install_plan(plan)
-    try:
-        yield
-    finally:
-        install_plan(previous)

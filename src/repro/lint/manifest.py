@@ -238,8 +238,8 @@ KERNEL_GATED_EFFECTS: Dict[str, str] = {
 #: reachable from them must stay deterministic.  ``Backend.execute`` is
 #: the fabric's execution seam (every backend funnels attempts through
 #: it); ``execute_cell`` is the module-level body it delegates to, which
-#: is what ``ProcessPoolExecutor`` actually pickles to workers.  RPR009
-#: cross-checks that both names still resolve.
+#: is what process-pool workers run.  RPR009 cross-checks that both names
+#: still resolve.
 WORKER_ENTRY_POINTS: Dict[str, FrozenSet[str]] = {
     "fabric/backends/base.py": frozenset({"Backend.execute", "execute_cell"}),
 }

@@ -1,9 +1,10 @@
-"""Tests for the execution fabric: scheduler dedup, streaming, backends.
+"""Tests for the execution fabric: scheduler dedup, streaming, fault plans.
 
-The facade contract (``ParallelRunner``/``run_jobs``) is pinned by
+The runner contract (``ParallelRunner``/``run_jobs``) is pinned by
 ``test_parallel_runner.py``; this module covers what only the fabric
-provides — cross-submission dedup, incremental delivery and pluggable
-backends — plus the ``configure_default_runner`` worker-count regression.
+provides — cross-submission dedup, incremental delivery, per-runner fault
+plans and workload fingerprints — plus the ``configure_default_runner``
+worker-count regression.
 """
 
 import inspect
@@ -26,7 +27,7 @@ from repro.fabric import (
     workload_fingerprint,
 )
 from repro.fabric.store import ResultCache
-from repro.faults import install_plan
+from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.faults import plan as fault_plan_mod
 from repro.workloads.mixes import smt_mixes
 from repro.workloads.phased import PhasedWorkload
@@ -195,13 +196,73 @@ class TestStreaming:
             set_default_runner(previous)
 
 
-class TestThreadBackend:
-    def test_thread_backend_matches_serial(self):
-        jobs = jobs_for(("lru", "itp"))
-        threaded = ParallelRunner(workers=4, backend="thread").run(jobs)
-        serial = ParallelRunner(workers=1).run(jobs)
-        for got, want in zip(threaded, serial):
-            assert_same_result(got, want)
+class TestPerRunnerFaultPlans:
+    def test_concurrent_runners_see_only_their_own_plan(self, tmp_path, monkeypatch):
+        """Two runners with different explicit plans, driven at once from
+        two threads.  Every cache store rendezvouses with the other thread
+        before and after writing, so both runs are provably mid-drive
+        together whenever a fault site is consulted."""
+        rendezvous = threading.Barrier(2)
+        original_store = ResultCache.store
+
+        def store(self, *args):
+            rendezvous.wait(timeout=60)
+            try:
+                original_store(self, *args)
+            finally:
+                rendezvous.wait(timeout=60)
+
+        monkeypatch.setattr(ResultCache, "store", store)
+        plans = {
+            "a": FaultPlan([
+                FaultSpec("worker.crash", match="lru x w0"),
+                FaultSpec("cache.corrupt-write"),
+            ]),
+            "b": FaultPlan([FaultSpec("worker.crash", match="lru x w1")]),
+        }
+        runners = {
+            name: ParallelRunner(
+                workers=1, cache_dir=tmp_path / name, max_retries=1,
+                backoff_base=0.0, faults=plan,
+            )
+            for name, plan in plans.items()
+        }
+        jobs = jobs_for(("lru",))
+        errors = []
+
+        def drive(runner):
+            try:
+                runner.run(jobs)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=drive, args=(r,)) for r in runners.values()]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors, errors
+
+        cells = {name: runner.last_report.cells for name, runner in runners.items()}
+        assert [c.injected for c in cells["a"]] == [
+            ("worker.crash", "cache.corrupt-write"), ("cache.corrupt-write",),
+        ]
+        assert [c.injected for c in cells["b"]] == [(), ("worker.crash",)]
+        for name, crashed in (("a", 0), ("b", 1)):
+            for index, cell in enumerate(cells[name]):
+                retried = [e for e in cell.events if "InjectedWorkerCrash" in e]
+                assert len(retried) == (index == crashed), (name, cell)
+                assert cell.attempts == (2 if index == crashed else 1)
+        # cache.corrupt-write fired for every store of runner a and none of
+        # runner b: a fresh read quarantines exactly runner a's entries.
+        for name, corrupted in (("a", len(jobs)), ("b", 0)):
+            cache = ResultCache(tmp_path / name)
+            for job in jobs:
+                cache.load(job_key(job))
+            assert cache.quarantined == corrupted, name
+        # Nothing was installed process-wide, so nothing is left behind.
+        assert fault_plan_mod._installed is None
+        assert fault_plan_mod.active_plan() is None
 
 
 class TestConfigureDefaultRunner:

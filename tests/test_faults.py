@@ -13,7 +13,6 @@ from repro.faults import (
     active_plan,
     install_plan,
     parse_spec,
-    plan_scope,
 )
 from repro.faults import plan as plan_mod
 
@@ -159,15 +158,3 @@ class TestActivePlan:
         assert active_plan().armed(WORKER_CRASH)
         install_plan("")
         assert active_plan() is None
-
-    def test_plan_scope_restores(self):
-        outer = FaultPlan([FaultSpec(WORKER_HANG)])
-        install_plan(outer)
-        with plan_scope(FaultPlan([FaultSpec(WORKER_CRASH)])):
-            assert active_plan().armed(WORKER_CRASH)
-        assert active_plan() is outer
-
-    def test_plan_scope_none_is_noop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "worker.hang")
-        with plan_scope(None):
-            assert active_plan().armed(WORKER_HANG)

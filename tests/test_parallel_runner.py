@@ -1,21 +1,23 @@
 """Tests for the parallel experiment runner and its result cache."""
 
 import os
+import threading
 import time
 
 import pytest
 
 from repro.common.params import scaled_config
-from repro.experiments.parallel import (
+from repro.experiments.runner import compare_single_thread, config_for
+from repro.fabric import (
     CONTINUE,
     CellTimeout,
     ConfigurationError,
     MatrixError,
     ParallelRunner,
     ResultCache,
+    Scheduler,
     SimJob,
     SimulationError,
-    _execute,
     get_default_runner,
     job_key,
     run_jobs,
@@ -24,7 +26,7 @@ from repro.experiments.parallel import (
     smt,
     workload_fingerprint,
 )
-from repro.experiments.runner import compare_single_thread, config_for
+from repro.fabric import execute_cell as _execute
 from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.faults import plan as fault_plan_mod
 from repro.workloads.server import ServerWorkload
@@ -239,6 +241,24 @@ class TestEnvValidation:
         with pytest.raises(ConfigurationError, match="REPRO_CELL_TIMEOUT"):
             ParallelRunner(workers=1)
 
+    def test_infinite_env_timeout_means_no_limit(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "inf")
+        runner = ParallelRunner(workers=1)
+        assert runner.timeout is None
+        assert len(runner.run(small_jobs(small_workloads(1)))) == 1
+
+    def test_infinite_keyword_timeout_means_no_limit(self):
+        runner = ParallelRunner(workers=1, timeout=float("inf"))
+        assert runner.timeout is None
+        assert len(runner.run(small_jobs(small_workloads(1)))) == 1
+
+    def test_nan_timeout_names_the_knob(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="timeout.*nan"):
+            ParallelRunner(workers=1, timeout=float("nan"))
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "nan")
+        with pytest.raises(ConfigurationError, match="REPRO_CELL_TIMEOUT.*nan"):
+            ParallelRunner(workers=1)
+
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="failure policy"):
             ParallelRunner(workers=1, policy="best-effort")
@@ -325,6 +345,29 @@ class TestCacheIntegrity:
         assert list(tmp_path.glob(".*.tmp")) == []
         assert cache.load("k") is None
 
+    def test_concurrent_same_key_stores_all_succeed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def writer():
+            for _ in range(50):
+                barrier.wait(timeout=30)
+                try:
+                    cache.store("k", tiny_result())
+                except Exception as exc:
+                    errors.append(exc)
+
+        tiny_result()  # simulate once, before the writers race
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert errors == []
+        assert cache.load("k").metrics == tiny_result().metrics
+        assert list(tmp_path.glob(".*.tmp")) == []
+
     def test_stale_tmp_sweep_on_startup(self, tmp_path):
         stale = tmp_path / ".deadbeef.pkl.123.tmp"
         stale.write_bytes(b"half a result")
@@ -343,7 +386,7 @@ class TestCompleteness:
         silently shrink the result list (regression for the old
         ``[r for r in results if r is not None]`` truncation)."""
         monkeypatch.setattr(
-            ParallelRunner, "_finish", lambda self, *a, **k: None
+            Scheduler, "_finish", lambda self, *a, **k: None
         )
         with pytest.raises(SimulationError, match="without a result"):
             ParallelRunner(workers=1).run(small_jobs())

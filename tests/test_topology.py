@@ -9,8 +9,8 @@ from repro.common.params import scaled_config
 from repro.core.multicore import MulticoreSystem, simulate_multicore
 from repro.core.simulator import simulate
 from repro.core.system import System
-from repro.experiments.parallel import job_key, single
 from repro.experiments.runner import POLICY_MATRIX, config_for
+from repro.fabric import job_key, single
 from repro.topology import (
     SUITES,
     TopologyError,
