@@ -64,16 +64,6 @@ class AccessProbe:
         return StackDistanceAnalyzer().run(self.line_addresses)
 
 
-def attach_probe_before(cache, **kwargs) -> AccessProbe:
-    """Insert a probe in front of ``cache`` — records everything it receives.
-
-    Returns the probe; the caller rewires the upstream level(s) to point at
-    it.  For the common case of probing one cache's *input* stream, use
-    :func:`probe_cache_input` instead.
-    """
-    return AccessProbe(cache, **kwargs)
-
-
 def probe_cache_input(system, level: str = "l2c", **kwargs) -> AccessProbe:
     """Wrap a :class:`repro.core.system.System` level with an input probe.
 

@@ -29,7 +29,7 @@ bit-identity guarantees are untouched.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Type, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Type, Union
 
 from .recency import NaiveRecencyStack, RecencyStack
 
@@ -129,13 +129,6 @@ class CheckedRecencyStack:
         self._fast.touch(way)
         self._ref.touch(way)
         self._verify(f"touch({way})")
-
-    def touch_many(self, ways: Iterable[int]) -> None:
-        # Deliberately per-touch (not delegated to the bulk methods): each
-        # individual promotion is applied to both stacks and verified, so a
-        # divergence names the exact element that introduced it.
-        for way in ways:
-            self.touch(way)
 
     def place_at_depth(self, way: int, depth: int) -> None:
         self._fast.place_at_depth(way, depth)

@@ -27,7 +27,7 @@ Two implementations share the same API:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Protocol, Sequence
+from typing import Iterator, List
 
 
 class RecencyStack:
@@ -204,17 +204,6 @@ class RecencyStack:
         prev[h] = way
         self._head = way
 
-    def touch_many(self, ways: Iterable[int]) -> None:
-        """Promote each way in ``ways`` to MRU, in order (bulk LRU update).
-
-        Semantically identical to calling :meth:`touch` per way; exists so
-        the batched engine can drain a deferred touch buffer without a
-        method lookup per element.
-        """
-        touch = self.touch
-        for way in ways:
-            touch(way)
-
     def place_at_depth(self, way: int, depth: int) -> None:
         """Insert/move ``way`` to ``depth`` positions below MRU.
 
@@ -333,12 +322,6 @@ class NaiveRecencyStack:
         self._order.remove(way)
         self._order.insert(0, way)
 
-    def touch_many(self, ways: Iterable[int]) -> None:
-        """Promote each way in ``ways`` to MRU, in order (bulk LRU update)."""
-        touch = self.touch
-        for way in ways:
-            touch(way)
-
     def place_at_depth(self, way: int, depth: int) -> None:
         """Insert/move ``way`` to ``depth`` positions below MRU."""
         if way in self._order:
@@ -357,24 +340,3 @@ class NaiveRecencyStack:
         """Iterate ways from LRU to MRU (victim-search order)."""
         return reversed(self._order)
 
-
-class SupportsTouch(Protocol):
-    """Anything with a recency ``touch`` — all three stack implementations."""
-
-    def touch(self, way: int) -> None: ...  # pragma: no cover
-
-
-def bulk_touch(
-    stacks: Sequence[SupportsTouch],
-    set_indices: Sequence[int],
-    ways: Sequence[int],
-) -> None:
-    """Apply one deferred ``stacks[s].touch(w)`` per ``(s, w)`` pair, in order.
-
-    The batched engine buffers fast-path recency bumps as parallel
-    set-index/way lists and drains them here; order matters (touches are
-    MRU promotions), and going through ``.touch`` keeps the bulk path
-    transparently verified under ``REPRO_CHECK=1``.
-    """
-    for s, w in zip(set_indices, ways):
-        stacks[s].touch(w)

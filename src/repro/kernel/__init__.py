@@ -7,9 +7,9 @@ Two engines produce bit-identical :class:`~repro.common.stats.SimStats`:
 * ``batched`` — the block-batched kernel in :mod:`repro.kernel.batched`:
   records are pulled in blocks, derived indices are precomputed as flat
   arrays, and records that fully hit in the L1 TLBs and L1 caches are
-  resolved on an allocation-free fast path with deferred (bulk-applied)
-  recency bumps.  Every record with any other behaviour falls back to the
-  scalar machinery, so all policy semantics stay in exactly one place.
+  resolved on an allocation-free fast path that touches recency in
+  place.  Every record with any other behaviour falls back to the scalar
+  machinery, so all policy semantics stay in exactly one place.
 
 Select an engine per call (``engine=`` on the simulation drivers, ``--engine``
 on the CLIs) or process-wide with the ``REPRO_ENGINE`` environment variable;
@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .batched import DEFAULT_BLOCK_RECORDS, BatchedEngine
+from .batched import BatchedEngine
 from .scalar import ScalarEngine
 
 #: Environment variable naming the default engine for this process.
@@ -58,7 +58,6 @@ def engine_for(engine: Optional[str], streams: int) -> str:
 
 __all__ = [
     "BatchedEngine",
-    "DEFAULT_BLOCK_RECORDS",
     "DEFAULT_ENGINE",
     "ENGINE_ENV",
     "ENGINES",

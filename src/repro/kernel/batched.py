@@ -8,32 +8,31 @@ recency bumps, hit counters, and prefetcher window advances.  This engine
 exploits that:
 
 1. **Block pull + precompute.**  Records are pulled from the trace stream
-   in blocks (:data:`DEFAULT_BLOCK_RECORDS`) and the derived per-record
-   indices — tagged PC, 4 KB VPN, instruction counts, base cycle cost —
-   are precomputed as flat arrays.
+   in blocks (:data:`BLOCK_RECORDS`) and the derived per-record indices —
+   tagged PC, 4 KB VPN, instruction counts, base cycle cost — are
+   precomputed as flat arrays.
 
-2. **Three-tier loop.**  For each record, a side-effect-free *probe*
-   classifies it:
+2. **Probe, then one hit tier or the scalar fallback.**  For each record,
+   a side-effect-free *probe* decides whether every structure hits:
 
-   * **deferred tier** — every structure hits *and* every prefetcher probe
-     target is already resident (the prefetchers would be pure no-ops).
-     Hit counters are accumulated locally, recency bumps are buffered and
-     later bulk-applied via :func:`repro.common.recency.bulk_touch`, and
-     window bookkeeping (adaptive controller, DRAM bandwidth window) is
-     kept in locals with provably identical arithmetic.
-   * **issuing tier** — every structure hits but a prefetcher would issue
-     (on sequential code the FDIP window advances one line per record, so
-     this tier carries streaming fetch).  FDIP issues are replayed by a
-     hand-inlined equivalent of ``cache.prefetch``: the prefetch-through
-     recursion at L2C/LLC/DRAM touches no replacement policy, prefetcher,
-     MSHR or adaptive state — only tag probes and counters — and the L1I
-     fill itself runs under the engine's pinned exact-LRU policy, so the
+   * **hit tier** — every ITLB/L1I/DTLB/L1D probe hits.  Hit counters are
+     accumulated locally, recency is touched in place, and window
+     bookkeeping (adaptive controller, DRAM bandwidth window) is kept in
+     locals with provably identical arithmetic.  When a prefetcher would
+     issue (on sequential code the FDIP window advances one line per
+     record, so this carries streaming fetch), the record still takes
+     this tier and is counted in ``issue_records`` rather than
+     ``fast_records``.  FDIP issues are replayed by a hand-inlined
+     equivalent of ``cache.prefetch``: the prefetch-through recursion at
+     L2C/LLC/DRAM touches no replacement policy, prefetcher, MSHR or
+     adaptive state — only tag probes and counters — and the L1I fill
+     itself runs under the engine's pinned exact-LRU policy, so the
      inline replay is bit-identical by construction.  Next-line (L1D)
      issues go through the real ``Prefetcher.on_access`` hook after the
-     deferred window state is committed.
+     instruction count is committed.
    * **scalar fallback** — anything else (any miss, or a machine whose L1
-     policies/prefetchers are not the exact baseline types).  Deferred
-     state is flushed and the untouched record runs through
+     policies/prefetchers are not the exact baseline types).  Local
+     state is committed and the untouched record runs through
      ``Core.execute``; all Figure 5/6/7 semantics live only there.
 
 Bit-identity notes (each is load-bearing; see tests/test_kernel_diff.py):
@@ -47,13 +46,12 @@ Bit-identity notes (each is load-bearing; see tests/test_kernel_diff.py):
   quiescent point), so they are summed in locals for the whole block and
   committed once — even across scalar fallbacks, because integer addition
   commutes;
-* TLB recency is never read by any prefetch path, so TLB touch buffers
-  survive issuing-tier records; they are only drained before a scalar
-  fallback or a ``Core._data_access`` re-run (which touch TLB state
-  directly, where order matters);
-* L1 cache recency *is* read by fills (victim selection), so the L1I
-  buffer is drained before any FDIP issue and the L1D buffer before any
-  next-line issue or data re-run;
+* recency is touched at hit time, in the spec's order.  A touch of the
+  ``(set, way)`` touched last for that structure is skipped (it is still
+  MRU); that dedup register is reset after any real-machinery call that
+  can move the structure's MRU way — an inline FDIP fill into that set,
+  the dirty-victim ``prefetch`` escape, ``Prefetcher.on_access``, a
+  ``Core._data_access`` re-run, and the scalar fallback (all four);
 * the DRAM bandwidth window is replayed inline per record with the exact
   ``note_instructions`` arithmetic; ``_window_accesses`` and
   ``_queue_delay`` are kept live on the DRAM object (inline prefetches
@@ -71,18 +69,18 @@ Bit-identity notes (each is load-bearing; see tests/test_kernel_diff.py):
 * the FDIP window spans ``depth`` *consecutive* lines, which map to
   ``depth`` *distinct* L1I sets whenever ``depth < num_sets``; a window
   fill therefore never evicts another window line, so after a sequential
-  record is processed (either tier) lines ``la+1 .. la+depth`` are all
-  resident and the next sequential record only needs to probe the one
-  newly exposed target (``seq_clean`` induction);
+  hit record lines ``la+1 .. la+depth`` are all resident and the next
+  sequential record only needs to probe the one newly exposed target
+  (``seq_clean`` induction);
 * L1I lines are never dirty (only stores set the dirty bit and the L1I
   serves fetches exclusively), so inline L1I fills never write back; the
   engine still peeks the victim and defers to the real machinery if the
   invariant were ever broken;
-* on the issuing tier, an L1D prefetch fill can evict a line a *later*
-  memory op of the same record needs (the hierarchy is non-inclusive, so
-  that is the only cross-structure hazard); once any L1D-mutating call
-  has run, each remaining memop re-probes at apply time and routes
-  through the real ``Core._data_access`` if its line disappeared.
+* an L1D prefetch fill can evict a line a *later* memory op of the same
+  record needs (the hierarchy is non-inclusive, so that is the only
+  cross-structure hazard); once any L1D-mutating call has run, each
+  remaining memop re-probes at apply time and routes through the real
+  ``Core._data_access`` if its line disappeared.
 """
 
 from __future__ import annotations
@@ -93,7 +91,6 @@ from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
 from ..cache.cache import SetAssociativeCache
 from ..cache.prefetch.fdip import FDIPPrefetcher
 from ..cache.prefetch.next_line import NextLinePrefetcher
-from ..common.recency import bulk_touch
 from ..common.types import LARGE_PAGE_BITS, PAGE_BITS, PageSize, RequestType, TraceRecord
 from ..mem.dram import _FREE_RATE, _MAX_PRESSURE, DRAM
 from ..replacement.lru import LRUPolicy
@@ -110,23 +107,23 @@ _LOAD = RequestType.LOAD
 _STORE = RequestType.STORE
 
 #: Records pulled (and precomputed) per block.
-DEFAULT_BLOCK_RECORDS = 4096
+BLOCK_RECORDS = 4096
 
 
 class BatchedEngine:
     """Drives one :class:`Core` through its stream in precomputed blocks.
 
     The engine is bit-identical to the scalar loop by construction (see the
-    module docstring); ``fast_records`` (deferred tier), ``issue_records``
-    (issuing tier) and ``total_records`` expose fast-path coverage for the
-    bench harness and ``tools/profile_hotpath.py`` without touching
+    module docstring); ``fast_records`` (hit records no prefetcher issued
+    for), ``issue_records`` (hit records that issued) and ``total_records``
+    expose fast-path coverage for the bench harness and
+    ``tools/profile_hotpath.py`` without touching
     :class:`~repro.common.stats.SimStats`.
     """
 
     __slots__ = (
         "fast_records", "issue_records", "total_records",
-        "_stream", "_execute", "_stats",
-        "_block_records", "_scalar",
+        "_stream", "_execute", "_stats", "_scalar",
         "_ttag", "_thread_id", "_base_cpi",
         "_chirp_observe", "_adaptive_on",
         "_core_data", "_data_req",
@@ -142,25 +139,15 @@ class BatchedEngine:
         "_dram", "_dram_stats", "_contention",
         "_blk", "_idx",
         "_pcs", "_vpns", "_npis", "_cycs",
-        "_it_s", "_it_w", "_dt_s", "_dt_w",
-        "_ci_s", "_ci_w", "_cd_s", "_cd_w",
-        "_ci_pend", "_cd_pend",
         "_scratch",
     )
 
     def __init__(
-        self,
-        system: "System",
-        core: "Core",
-        stream: Iterator[TraceRecord],
-        block_records: int = DEFAULT_BLOCK_RECORDS,
+        self, system: "System", core: "Core", stream: Iterator[TraceRecord]
     ) -> None:
-        if block_records <= 0:
-            raise ValueError("block_records must be positive")
         self._stream = stream
         self._execute = core.execute
         self._stats = system.stats
-        self._block_records = block_records
         self.fast_records = 0
         self.issue_records = 0
         self.total_records = 0
@@ -169,8 +156,8 @@ class BatchedEngine:
         self._thread_id = core.thread_id
         self._base_cpi = system.config.core.base_cpi
         self._core_data = core._data_access
-        # Borrow the core's reusable data request for the issuing tier's
-        # next-line on_access calls; the hierarchy is synchronous, so it is
+        # Borrow the core's reusable data request for the next-line
+        # on_access calls; the hierarchy is synchronous, so it is
         # never live outside the call it was rewritten for.
         self._data_req = core._data_req
 
@@ -222,7 +209,7 @@ class BatchedEngine:
         # seq_clean induction needs the window to span distinct L1I sets.
         self._fdip_seq_ok = 0 < self._fdip_depth < l1i.num_sets
 
-        # The fast tiers replay only the exact baseline L1 behaviours: LRU
+        # The hit tier replays only the exact baseline L1 behaviours: LRU
         # recency bumps and the baseline prefetcher windows.  Any other
         # policy/prefetcher type — subclasses included — runs whole-run
         # scalar (on a ScalarEngine), as does a topology whose L1 hit
@@ -286,24 +273,6 @@ class BatchedEngine:
         self._vpns: List[int] = []
         self._npis: List[int] = []
         self._cycs: List[float] = []
-        # Deferred recency-touch buffers, one (sets, ways) pair per
-        # structure, drained by bulk_touch at the commit points described
-        # in the module docstring.
-        self._it_s: List[int] = []
-        self._it_w: List[int] = []
-        self._dt_s: List[int] = []
-        self._dt_w: List[int] = []
-        self._ci_s: List[int] = []
-        self._ci_w: List[int] = []
-        self._cd_s: List[int] = []
-        self._cd_w: List[int] = []
-        # Set indices with pending buffered touches, per L1 cache.  Recency
-        # stacks are per-set, so operations on *different* sets commute: an
-        # inline fill only forces a drain when its victim set has pending
-        # touches (rare — the prefetch windows span sets distinct from the
-        # recently hit ones).
-        self._ci_pend: set = set()
-        self._cd_pend: set = set()
         # Per-record probe results for the current record's memory ops:
         # (dtlb_set, dtlb_way, l1d_set, l1d_way, line_addr, tagged_vaddr,
         #  is_store, nl_targets_resident).
@@ -369,7 +338,7 @@ class BatchedEngine:
     # ------------------------------------------------------------------ #
 
     def _pull_block(self) -> None:
-        """Pull up to ``block_records`` records and precompute flat index
+        """Pull up to :data:`BLOCK_RECORDS` records and precompute flat index
         arrays for the whole block.
 
         Pulling runs ahead of execution; workload streams are pure
@@ -377,7 +346,7 @@ class BatchedEngine:
         """
         blk = self._blk
         blk.clear()
-        blk.extend(islice(self._stream, self._block_records))
+        blk.extend(islice(self._stream, BLOCK_RECORDS))
         ttag = self._ttag
         if ttag:
             pcs = [r.pc | ttag for r in blk]
@@ -401,10 +370,11 @@ class BatchedEngine:
         """Consume block records ``[idx, end)``; stop early at ``limit``.
 
         Probe-then-apply per record: the probe reads only the key/tag maps
-        (no side effects) and classifies the record into a tier.  Deferred
-        effects are committed before any state the spec machinery reads is
-        reachable (see the module docstring), and always before returning,
-        so statistics and structure state are exact at every return point.
+        (no side effects) and decides between the hit tier and the scalar
+        fallback.  Locally accumulated state is committed before any state
+        the spec machinery reads is reachable (see the module docstring),
+        and always before returning, so statistics and structure state are
+        exact at every return point.
         """
         blk = self._blk
         pcs = self._pcs
@@ -466,16 +436,6 @@ class BatchedEngine:
         per_thread = stats.per_thread_instructions
         tid = self._thread_id
         ttag = self._ttag
-        it_s = self._it_s
-        it_w = self._it_w
-        dt_s = self._dt_s
-        dt_w = self._dt_w
-        ci_s = self._ci_s
-        ci_w = self._ci_w
-        cd_s = self._cd_s
-        cd_w = self._cd_w
-        ci_pend = self._ci_pend
-        cd_pend = self._cd_pend
         sc = self._scratch
         size_2m = _SIZE_2M
         offmask = _PAGE_OFFSET_MASK
@@ -486,6 +446,8 @@ class BatchedEngine:
         acc_it = acc_dt = acc_ci = acc_cd = 0
         pf_i = pf_d = 0
         acc_inst = 0
+        # Touch dedup registers: the (set, way) each structure touched
+        # last, skipped while it is still that set's MRU way.
         last_it_s = last_it_w = -1
         last_dt_s = last_dt_w = -1
         last_ci_s = last_ci_w = -1
@@ -518,13 +480,12 @@ class BatchedEngine:
             vpn = vpns[i]
             loads = rec.loads
             stores = rec.stores
-            # tier 0 = scalar fallback, 1 = deferred hits, 2 = hits + issue.
-            tier = 0
+            hit = False
             issue_i = False
             issue_d = False
             is_seq = False
             ts = tw = cs = cw = la = 0
-            while True:  # single pass; break == stay on the chosen tier
+            while True:  # single pass; break == decided
                 # Fetch probe: ITLB (4K key, then 2M key), then L1I.
                 if vpn == last_vpn:
                     ts = last_ts
@@ -553,8 +514,7 @@ class BatchedEngine:
                 if cw is None:
                     break
                 # FDIP window: an absent probe target means the prefetcher
-                # would issue — still a full-hit record, but it must run on
-                # the issuing tier.  After a sequential record, only the one
+                # would issue.  After a sequential record, only the one
                 # newly exposed line needs probing (seq_clean induction).
                 is_seq = la == fdip_last + 1
                 if fdip_depth:
@@ -577,11 +537,12 @@ class BatchedEngine:
                             issue_i = True
                     if issue_i and not pf_inline:
                         break
-                # Data probes, loads before stores (scalar record order).
+                # Data probes in scalar record order: loads, then stores.
                 if loads or stores:
                     sc.clear()
-                    ok = True
-                    for vaddr in loads:
+                    nld = len(loads)
+                    k = 0
+                    for vaddr in loads + stores:
                         va = vaddr | ttag
                         dvpn = va >> 12
                         if dvpn == last_dvpn:
@@ -596,7 +557,6 @@ class BatchedEngine:
                                 dts = dvpn2 & dtlb_mask
                                 dtw = dtlb_km[dts].get((dvpn2 << 1) | 1)
                                 if dtw is None:
-                                    ok = False
                                     break
                             de = dtlb_sets[dts][dtw]
                             dpfn = de.pfn
@@ -610,7 +570,6 @@ class BatchedEngine:
                         dcs = dla & l1d_smask
                         dcw = l1d_tm[dcs].get(dla >> l1d_sshift)
                         if dcw is None:
-                            ok = False
                             break
                         nl_ok = True
                         if nl_degree:
@@ -622,63 +581,21 @@ class BatchedEngine:
                                     issue_d = True
                                     break
                                 t2 += 1
-                        sc.append((dts, dtw, dcs, dcw, dla, va, False, nl_ok))
-                    if ok:
-                        for vaddr in stores:
-                            va = vaddr | ttag
-                            dvpn = va >> 12
-                            if dvpn == last_dvpn:
-                                dts = last_dts
-                                dtw = last_dtw
-                                dpfn = last_dpfn
-                            else:
-                                dts = dvpn & dtlb_mask
-                                dtw = dtlb_km[dts].get(dvpn << 1)
-                                if dtw is None:
-                                    dvpn2 = va >> lp_bits
-                                    dts = dvpn2 & dtlb_mask
-                                    dtw = dtlb_km[dts].get((dvpn2 << 1) | 1)
-                                    if dtw is None:
-                                        ok = False
-                                        break
-                                de = dtlb_sets[dts][dtw]
-                                dpfn = de.pfn
-                                if de.page_size is size_2m:
-                                    dpfn += dvpn & 0x1FF
-                                last_dvpn = dvpn
-                                last_dts = dts
-                                last_dtw = dtw
-                                last_dpfn = dpfn
-                            dla = (dpfn << l1d_pshift) | ((va & offmask) >> l1d_lshift)
-                            dcs = dla & l1d_smask
-                            dcw = l1d_tm[dcs].get(dla >> l1d_sshift)
-                            if dcw is None:
-                                ok = False
-                                break
-                            nl_ok = True
-                            if nl_degree:
-                                t2 = dla + 1
-                                tend2 = dla + nl_degree
-                                while t2 <= tend2:
-                                    if (t2 >> l1d_sshift) not in l1d_tm[t2 & l1d_smask]:
-                                        nl_ok = False
-                                        issue_d = True
-                                        break
-                                    t2 += 1
-                            sc.append((dts, dtw, dcs, dcw, dla, va, True, nl_ok))
-                    if not ok:
-                        break
-                tier = 2 if (issue_i or issue_d) else 1
+                        sc.append((dts, dtw, dcs, dcw, dla, va, k >= nld, nl_ok))
+                        k += 1
+                    else:
+                        hit = True
+                    break
+                hit = True
                 break
 
-            if tier == 1:
-                # ---- deferred tier: buffer everything ------------------- #
+            if hit:
+                # ---- hit tier: touch in place, replay any issues -------- #
                 if chirp_observe is not None and vpn != chirp_last:
                     chirp_observe(vpn)
                     chirp_last = vpn
                 if ts != last_it_s or tw != last_it_w:
-                    it_s.append(ts)
-                    it_w.append(tw)
+                    itlb_stacks[ts].touch(tw)
                     last_it_s = ts
                     last_it_w = tw
                 acc_it += 1
@@ -687,85 +604,13 @@ class BatchedEngine:
                     line.prefetched = False
                     pf_i += 1
                 if cs != last_ci_s or cw != last_ci_w:
-                    ci_s.append(cs)
-                    ci_w.append(cw)
-                    ci_pend.add(cs)
-                    last_ci_s = cs
-                    last_ci_w = cw
-                acc_ci += 1
-                fdip_last = la
-                if loads or stores:
-                    for dts, dtw, dcs, dcw, dla, va, is_st, nl_ok in sc:
-                        if dts != last_dt_s or dtw != last_dt_w:
-                            dt_s.append(dts)
-                            dt_w.append(dtw)
-                            last_dt_s = dts
-                            last_dt_w = dtw
-                        acc_dt += 1
-                        dline = l1d_sets[dcs][dcw]
-                        if is_st:
-                            dline.dirty = True
-                        if dline.prefetched:
-                            dline.prefetched = False
-                            pf_d += 1
-                        if dcs != last_cd_s or dcw != last_cd_w:
-                            cd_s.append(dcs)
-                            cd_w.append(dcw)
-                            cd_pend.add(dcs)
-                            last_cd_s = dcs
-                            last_cd_w = dcw
-                        acc_cd += 1
-                n = npis[i]
-                instructions += n
-                acc_inst += n
-                wi += n
-                if wi >= 1000:
-                    # note_instructions arithmetic, verbatim (wi >= 1000).
-                    rate = dram._window_accesses * 1000 // wi
-                    excess = rate - free_rate
-                    if excess < 0:
-                        excess = 0
-                    pressure = excess / free_rate
-                    if pressure > max_pressure:
-                        pressure = max_pressure
-                    dram._queue_delay = int(contention * pressure)
-                    dram._window_accesses = 0
-                    wi = 0
-                cycles += cycs[i]
-                fast += 1
-                seq_clean = is_seq and seq_allowed
-                i += 1
-                continue
-
-            if tier == 2:
-                # ---- issuing tier: hits + prefetcher issues ------------- #
-                if chirp_observe is not None and vpn != chirp_last:
-                    chirp_observe(vpn)
-                    chirp_last = vpn
-                if ts != last_it_s or tw != last_it_w:
-                    it_s.append(ts)
-                    it_w.append(tw)
-                    last_it_s = ts
-                    last_it_w = tw
-                acc_it += 1
-                line = l1i_sets[cs][cw]
-                if line.prefetched:
-                    line.prefetched = False
-                    pf_i += 1
-                if cs != last_ci_s or cw != last_ci_w:
-                    ci_s.append(cs)
-                    ci_w.append(cw)
-                    ci_pend.add(cs)
+                    l1i_stacks[cs].touch(cw)
                     last_ci_s = cs
                     last_ci_w = cw
                 acc_ci += 1
                 if issue_i:
-                    # FDIP issues: victim selection reads the target set's
-                    # recency stack, so the touch buffer drains only when
-                    # that set has pending touches (stacks are per-set, so
-                    # touches on other sets commute past the fill); each
-                    # absent window target is then brought in by the
-                    # hand-inlined ``prefetch`` → ``_access_prefetch``
+                    # FDIP issues: each absent window target is brought in
+                    # by the hand-inlined ``prefetch`` → ``_access_prefetch``
                     # chain (see the module docstring).
                     if is_seq:
                         tend = la + fdip_depth
@@ -780,20 +625,14 @@ class BatchedEngine:
                         if tag in tm:
                             t += 1
                             continue
-                        if s2 in ci_pend:
-                            bulk_touch(l1i_stacks, ci_s, ci_w)
-                            ci_s.clear()
-                            ci_w.clear()
-                            ci_pend.clear()
-                            last_ci_s = last_ci_w = -1
                         tlines = l1i_sets[s2]
+                        stk = l1i_stacks[s2]
                         if len(tm) < l1i_assoc:
                             way = 0
                             while tlines[way].valid:
                                 way += 1
                             vline = tlines[way]
                         else:
-                            stk = l1i_stacks[s2]
                             way = stk.lru_way
                             vline = tlines[way]
                             if vline.dirty:
@@ -801,6 +640,7 @@ class BatchedEngine:
                                 # defer to the real machinery rather than
                                 # replicate the writeback path inline.
                                 self._l1i.prefetch(t, pc)
+                                last_ci_s = -1
                                 t += 1
                                 continue
                             evict_n += 1
@@ -825,21 +665,24 @@ class BatchedEngine:
                         vline.is_pte = False
                         vline.translation_type = None
                         tm[tag] = way
-                        stk = l1i_stacks[s2]
                         stk.place_at_depth(way, 0)
+                        if s2 == last_ci_s:
+                            last_ci_s = -1
                         pf_fill += 1
                         t += 1
                 fdip_last = la
                 data_stall = 0.0
-                if issue_d:
-                    # Next-line issues run through the real hook; STLB-miss
-                    # events (data re-runs) and window arithmetic must see
-                    # the committed instruction count first.
-                    if acc_inst:
-                        stats.instructions += acc_inst
-                        per_thread[tid] = per_thread.get(tid, 0) + acc_inst
-                        adaptive_on(acc_inst)
-                        acc_inst = 0
+                if loads or stores:
+                    if issue_d:
+                        # Next-line issues run through the real hook;
+                        # STLB-miss events (data re-runs) and window
+                        # arithmetic must see the committed instruction
+                        # count first.
+                        if acc_inst:
+                            stats.instructions += acc_inst
+                            per_thread[tid] = per_thread.get(tid, 0) + acc_inst
+                            adaptive_on(acc_inst)
+                            acc_inst = 0
                     clean = True
                     for dts, dtw, dcs, dcw, dla, va, is_st, nl_ok in sc:
                         if not clean:
@@ -848,30 +691,16 @@ class BatchedEngine:
                             # re-probe live state.
                             dcw2 = l1d_tm[dcs].get(dla >> l1d_sshift)
                             if dcw2 is None:
-                                # Line gone: the op is a real miss now.
-                                # Drain both L1D-side buffers (the re-run
-                                # touches DTLB and L1D state directly) and
-                                # hand the op to ``Core._data_access``,
-                                # which translates — touch included — and
-                                # runs the full miss machinery itself.
-                                if dt_s:
-                                    bulk_touch(dtlb_stacks, dt_s, dt_w)
-                                    dt_s.clear()
-                                    dt_w.clear()
-                                    last_dt_s = last_dt_w = -1
-                                if cd_s:
-                                    bulk_touch(l1d_stacks, cd_s, cd_w)
-                                    cd_s.clear()
-                                    cd_w.clear()
-                                    cd_pend.clear()
-                                    last_cd_s = last_cd_w = -1
+                                # Line gone: the op is a real miss now, so
+                                # ``Core._data_access`` translates — touch
+                                # included — and runs the miss machinery.
                                 data_stall += core_data(va, pc, is_st)
                                 last_dvpn = -1
+                                last_dt_s = last_cd_s = -1
                                 continue
                             dcw = dcw2
                         if dts != last_dt_s or dtw != last_dt_w:
-                            dt_s.append(dts)
-                            dt_w.append(dtw)
+                            dtlb_stacks[dts].touch(dtw)
                             last_dt_s = dts
                             last_dt_w = dtw
                         acc_dt += 1
@@ -882,61 +711,27 @@ class BatchedEngine:
                             dline.prefetched = False
                             pf_d += 1
                         if dcs != last_cd_s or dcw != last_cd_w:
-                            cd_s.append(dcs)
-                            cd_w.append(dcw)
-                            cd_pend.add(dcs)
+                            l1d_stacks[dcs].touch(dcw)
                             last_cd_s = dcs
                             last_cd_w = dcw
                         acc_cd += 1
                         if nl_ok and clean:
                             continue
                         # The hook probes live state itself, so calling it
-                        # is exact whether or not targets remain absent;
-                        # fills read the target sets' recency stacks, so
-                        # the buffer drains only when one of them has
-                        # pending touches (per-set commutativity again).
-                        step = 1
-                        while step <= nl_degree:
-                            if ((dla + step) & l1d_smask) in cd_pend:
-                                bulk_touch(l1d_stacks, cd_s, cd_w)
-                                cd_s.clear()
-                                cd_w.clear()
-                                cd_pend.clear()
-                                last_cd_s = last_cd_w = -1
-                                break
-                            step += 1
+                        # is exact whether or not targets remain absent.
                         req = data_req
                         req.address = dla << l1d_lshift
                         req.req_type = store_rt if is_st else load_rt
                         req.pc = pc
                         nl.on_access(l1d, req, True)
+                        last_cd_s = -1
                         clean = False
-                elif loads or stores:
-                    for dts, dtw, dcs, dcw, dla, va, is_st, nl_ok in sc:
-                        if dts != last_dt_s or dtw != last_dt_w:
-                            dt_s.append(dts)
-                            dt_w.append(dtw)
-                            last_dt_s = dts
-                            last_dt_w = dtw
-                        acc_dt += 1
-                        dline = l1d_sets[dcs][dcw]
-                        if is_st:
-                            dline.dirty = True
-                        if dline.prefetched:
-                            dline.prefetched = False
-                            pf_d += 1
-                        if dcs != last_cd_s or dcw != last_cd_w:
-                            cd_s.append(dcs)
-                            cd_w.append(dcw)
-                            cd_pend.add(dcs)
-                            last_cd_s = dcs
-                            last_cd_w = dcw
-                        acc_cd += 1
                 n = npis[i]
                 instructions += n
                 acc_inst += n
                 wi += n
                 if wi >= 1000:
+                    # note_instructions arithmetic, verbatim (wi >= 1000).
                     rate = dram._window_accesses * 1000 // wi
                     excess = rate - free_rate
                     if excess < 0:
@@ -948,34 +743,15 @@ class BatchedEngine:
                     dram._window_accesses = 0
                     wi = 0
                 cycles += cycs[i] + data_stall
-                issued += 1
+                if issue_i or issue_d:
+                    issued += 1
+                else:
+                    fast += 1
                 seq_clean = is_seq and seq_allowed
                 i += 1
                 continue
 
-            # ---- scalar fallback: flush deferred state, run the spec ---- #
-            if it_s:
-                bulk_touch(itlb_stacks, it_s, it_w)
-                it_s.clear()
-                it_w.clear()
-                last_it_s = last_it_w = -1
-            if dt_s:
-                bulk_touch(dtlb_stacks, dt_s, dt_w)
-                dt_s.clear()
-                dt_w.clear()
-                last_dt_s = last_dt_w = -1
-            if ci_s:
-                bulk_touch(l1i_stacks, ci_s, ci_w)
-                ci_s.clear()
-                ci_w.clear()
-                ci_pend.clear()
-                last_ci_s = last_ci_w = -1
-            if cd_s:
-                bulk_touch(l1d_stacks, cd_s, cd_w)
-                cd_s.clear()
-                cd_w.clear()
-                cd_pend.clear()
-                last_cd_s = last_cd_w = -1
+            # ---- scalar fallback: commit local state, run the spec ------ #
             if acc_inst:
                 stats.instructions += acc_inst
                 per_thread[tid] = per_thread.get(tid, 0) + acc_inst
@@ -989,31 +765,14 @@ class BatchedEngine:
             wi = dram._window_instructions
             if fdip is not None:
                 fdip_last = fdip._last_line
+            last_it_s = last_dt_s = last_ci_s = last_cd_s = -1
             last_vpn = -1
             last_dvpn = -1
             chirp_last = vpn
             seq_clean = False
             i += 1
 
-        # ---- block epilogue: drain buffers, commit accumulators --------- #
-        if it_s:
-            bulk_touch(itlb_stacks, it_s, it_w)
-            it_s.clear()
-            it_w.clear()
-        if dt_s:
-            bulk_touch(dtlb_stacks, dt_s, dt_w)
-            dt_s.clear()
-            dt_w.clear()
-        if ci_s:
-            bulk_touch(l1i_stacks, ci_s, ci_w)
-            ci_s.clear()
-            ci_w.clear()
-            ci_pend.clear()
-        if cd_s:
-            bulk_touch(l1d_stacks, cd_s, cd_w)
-            cd_s.clear()
-            cd_w.clear()
-            cd_pend.clear()
+        # ---- block epilogue: commit accumulators ------------------------ #
         if acc_inst:
             stats.instructions += acc_inst
             per_thread[tid] = per_thread.get(tid, 0) + acc_inst

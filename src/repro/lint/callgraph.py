@@ -25,10 +25,8 @@ every edge that matters.  This module therefore builds:
   answer).
 
 ``Program.reach`` runs a BFS closure over those edges with hooks the
-rules use: ``blocked`` qualnames that are never entered, a ``follow``
-predicate restricting which callees are traversed (RPR007 walks only the
-kernel's hand-inlined helpers), and ``prune`` for call-site
-suppressions.
+rules use: ``blocked`` qualnames that are never entered and ``prune`` for
+call-site suppressions.
 """
 
 from __future__ import annotations
@@ -467,14 +465,13 @@ class Program:
         entries: Iterable[FunctionInfo],
         module_ok: Optional[Callable[[str], bool]] = None,
         blocked: FrozenSet[str] = frozenset(),
-        follow: Optional[Callable[[FunctionInfo], bool]] = None,
         prune: Optional[Callable[[FunctionInfo, CallSite], bool]] = None,
     ) -> Dict[FunctionKey, Tuple[str, ...]]:
         """BFS closure: reachable function key -> qualname call path.
 
         ``blocked`` qualnames are never entered (the kernel's escape edges
-        into the scalar spec); ``follow`` restricts which callees are
-        traversed; ``prune`` drops individual call edges (suppressions).
+        into the scalar spec); ``prune`` drops individual call edges
+        (suppressions).
         """
         paths: Dict[FunctionKey, Tuple[str, ...]] = {}
         queue: Deque[FunctionInfo] = deque()
@@ -491,8 +488,6 @@ class Program:
                     if cand.key in paths:
                         continue
                     if cand.qualname in blocked:
-                        continue
-                    if follow is not None and not follow(cand):
                         continue
                     if len(base) < _MAX_PATH:
                         paths[cand.key] = base + (cand.qualname,)

@@ -254,7 +254,6 @@ class EffectAnalysis:
         code: Optional[str] = None,
         module_ok: Optional[Callable[[str], bool]] = None,
         blocked: FrozenSet[str] = frozenset(),
-        follow: Optional[Callable[[FunctionInfo], bool]] = None,
     ) -> Tuple[Dict[str, Effect], Dict[FunctionKey, Tuple[str, ...]]]:
         """Union of effects over the reachable set.
 
@@ -271,7 +270,6 @@ class EffectAnalysis:
             entries,
             module_ok=module_ok,
             blocked=blocked,
-            follow=follow,
             prune=prune if code is not None else None,
         )
         effects: Dict[str, Effect] = {}

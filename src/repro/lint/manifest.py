@@ -54,13 +54,11 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "common/recency.py": frozenset(
         {
             "RecencyStack.touch",
-            "RecencyStack.touch_many",
             "RecencyStack.remove",
             "RecencyStack.discard",
             "RecencyStack.place_at_depth",
             "RecencyStack.place_above_lru",
             "RecencyStack.ways_from_lru",
-            "bulk_touch",
         }
     ),
     "kernel/batched.py": frozenset({"BatchedEngine._run_block"}),
@@ -181,16 +179,14 @@ STATE_SEGMENTS: Dict[str, str] = {
 
 #: Recency-stack mutators: a *call* to one of these names is a
 #: ``state:recency`` effect (the stacks are the replacement policies'
-#: ground truth, so bulk and scalar paths must both move them).
+#: ground truth, so kernel and scalar paths must both move them).
 RECENCY_MUTATORS: FrozenSet[str] = frozenset(
     {
         "touch",
-        "touch_many",
         "remove",
         "discard",
         "place_at_depth",
         "place_above_lru",
-        "bulk_touch",
     }
 )
 
@@ -200,19 +196,15 @@ class ShadowPair(NamedTuple):
 
     kernel: Tuple[str, str]  #: (relkey, qualname) of the fast-path tier
     spec: Tuple[str, str]  #: (relkey, qualname) of the spec entry it shadows
-    #: Bare names of helpers whose bodies the kernel *owns* (hand-inlined
-    #: semantics).  Every other call the kernel makes is an escape into the
-    #: real machinery — exact by construction, so excluded from parity.
-    inlined: FrozenSet[str]
 
 
-#: RPR007 compares the direct effects of each ``kernel`` (plus its inlined
-#: helpers) against the full closure of each ``spec``.
+#: RPR007 compares the direct effects of each ``kernel`` body against the
+#: full closure of each ``spec``.  Every call the kernel makes is an escape
+#: into the real machinery — exact by construction, so excluded from parity.
 KERNEL_SPEC_SHADOWS: Tuple[ShadowPair, ...] = (
     ShadowPair(
         kernel=("kernel/batched.py", "BatchedEngine._run_block"),
         spec=("core/cpu.py", "Core.execute"),
-        inlined=frozenset({"bulk_touch"}),
     ),
 )
 

@@ -4,15 +4,14 @@
 ``Core.execute``; the differential suite proves bit-identity dynamically,
 but only for the inputs it samples.  This rule enforces the contract
 structurally: the set of ``stats:``/``state:`` effects written by the
-kernel tier (its own body plus the helpers it *owns*, per
-``ShadowPair.inlined``) must equal the effect closure of the spec path it
+kernel tier's own body must equal the effect closure of the spec path it
 shadows, modulo the explicitly gated miss-path effects in
 :data:`repro.lint.manifest.KERNEL_GATED_EFFECTS`.
 
-Every call the kernel makes outside its inlined set — the scalar-fallback
-escape into ``Core.execute``, the prefetcher/adaptive-controller hooks —
-runs the *real* machinery and is exact by construction, so those edges
-are excluded; including them would make the comparison vacuously true and
+Every call the kernel makes — the scalar-fallback escape into
+``Core.execute``, the prefetcher/adaptive-controller hooks — runs the
+*real* machinery and is exact by construction, so those edges are
+excluded; including them would make the comparison vacuously true and
 the drift canary blind.
 
 Drift reports read in both directions:
@@ -34,7 +33,7 @@ from .. import manifest
 from ..callgraph import FunctionInfo, program_for
 from ..context import FileContext
 from ..diagnostics import Diagnostic
-from ..effects import EffectAnalysis, render_path
+from ..effects import Effect, EffectAnalysis, render_path
 from .base import Rule
 
 _PARITY_KINDS = ("stats", "state")
@@ -90,21 +89,19 @@ class EffectParityRule(Rule):
         def hot_ok(relkey: str) -> bool:
             return relkey.startswith(manifest.HOT_MODULE_PREFIXES)
 
-        def inlined_only(fn: FunctionInfo) -> bool:
-            return fn.bare in pair.inlined
-
         spec_effects, spec_paths = analysis.closure(
             [spec_fn], code=self.code, module_ok=hot_ok
         )
-        kernel_effects, _ = analysis.closure(
-            [kernel_fn], code=self.code, module_ok=hot_ok, follow=inlined_only
-        )
+        kernel_effects: Dict[str, Effect] = {}
+        for eff in analysis.effects_of(kernel_fn):
+            if eff.kind in _PARITY_KINDS and not kernel_fn.ctx.is_suppressed(
+                eff.line, self.code
+            ):
+                kernel_effects.setdefault(eff.ident, eff)
         spec_idents = {
             i for i, e in spec_effects.items() if e.kind in _PARITY_KINDS
         }
-        kernel_idents = {
-            i for i, e in kernel_effects.items() if e.kind in _PARITY_KINDS
-        }
+        kernel_idents = set(kernel_effects)
 
         kernel_ctx = kernel_fn.ctx
         entry_node: ast.AST = kernel_fn.node

@@ -200,13 +200,6 @@ class MMU:
             stlb.insert(vaddr, stored_pfn, walk.page_size, access_type)
             self.stats.bump("stlb.prefetch_fills")
 
-    @staticmethod
-    def _entry_pfn(entry, vaddr: int) -> int:
-        """Covering 4 KB frame for ``vaddr`` given a (possibly 2 MB) entry."""
-        if entry.page_size is PageSize.SIZE_2M:
-            return entry.pfn + ((vaddr >> PAGE_BITS) & 0x1FF)
-        return entry.pfn
-
     def _account_translation(self, access_type: AccessType, latency: int) -> None:
         self.stats.bump(
             _TRANSLATION_CYCLES_INSTR

@@ -162,6 +162,7 @@ class TestCharacterize:
             records=4000,
         )
         assert character.itlb_mpki_estimate(8) >= character.itlb_mpki_estimate(64)
+        assert character.dtlb_mpki_estimate(8) >= character.dtlb_mpki_estimate(64)
         assert character.code_pages > 10
 
     def test_server_vs_spec_contrast(self):

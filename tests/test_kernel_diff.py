@@ -8,7 +8,9 @@ that promise the same way the golden tests pin the spec itself:
   both engines over the same window and requires the full metric report —
   every counter, every derived rate, the cycle total — to match exactly;
 * directed cases cover the behaviours most likely to break block batching
-  (phase changes mid-block, 2 MB page mixes, store-heavy streams);
+  (phase changes mid-block, 2 MB page mixes, store-heavy streams, the
+  topologies that disable the inline prefetch chain or split the STLB,
+  and an L1I so small that FDIP fills land in the set just touched);
 * engine selection plumbing (``resolve_engine``, ``REPRO_ENGINE``, the
   result-cache key) is pinned so a config typo cannot silently fall back
   to the wrong engine or serve one engine's cache entry to the other.
@@ -19,10 +21,14 @@ the whole file runs under ``REPRO_CHECK=1`` in CI so the differential
 also executes with the shadow-oracle structures installed.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.types import TraceRecord
 from repro.core.cpu import Core
 from repro.core.simulator import simulate
 from repro.core.system import System
@@ -35,6 +41,7 @@ from repro.kernel import (
     BatchedEngine,
     resolve_engine,
 )
+from repro.workloads.base import SyntheticWorkload
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.server import ServerWorkload
 from repro.workloads.speclike import SpecLikeWorkload
@@ -56,6 +63,23 @@ WARMUP = 1_500
 MEASURE = 6_000
 
 
+class RefetchWorkload(SyntheticWorkload):
+    """Code walk over 256 lines that often fetches the same line twice in a
+    row, so consecutive records hit the same L1I (set, way)."""
+
+    def record_stream(self):
+        rng = random.Random(self.seed)
+        line = 0
+        while True:
+            r = rng.random()
+            if r < 0.15:
+                line = rng.randrange(256)
+            elif r < 0.6:
+                line = (line + 1) % 256
+            yield TraceRecord(0x400000 + line * 64 + rng.randrange(0, 64, 4), 4,
+                              (0x10000000 + rng.randrange(64) * 64,))
+
+
 def make_workload(kind, seed, large_page_percent=0):
     workload = WORKLOAD_KINDS[kind](f"diff_{kind}_{seed}", seed)
     workload.large_page_percent = large_page_percent
@@ -63,14 +87,15 @@ def make_workload(kind, seed, large_page_percent=0):
 
 
 def run_both(technique, kind, seed, large_page_percent=0,
-             warmup=WARMUP, measure=MEASURE):
+             warmup=WARMUP, measure=MEASURE, topology=None):
     """Run the same cell under both engines; returns (spec, batched)."""
     config = config_for(technique)
     results = []
     for engine in ENGINES:
         workload = make_workload(kind, seed, large_page_percent)
         results.append(
-            simulate(config, workload, warmup, measure, engine=engine)
+            simulate(config, workload, warmup, measure,
+                     topology=topology, engine=engine)
         )
     return results
 
@@ -108,6 +133,32 @@ class TestDifferential:
     def test_large_page_mix(self):
         spec_result, batched_result = run_both("itp", "server", 3,
                                                large_page_percent=50)
+        assert_identical(spec_result, batched_result)
+
+    @pytest.mark.parametrize("topology", ["no-llc", "split-stlb"])
+    def test_topology(self, topology):
+        # Without an LLC the L1I does not sit on the L2C -> LLC -> DRAM
+        # chain, so the inline FDIP replay is off and every FDIP-issuing
+        # record runs scalar; the split STLB changes every miss path.
+        spec_result, batched_result = run_both("itp+xptp", "server", 9,
+                                               topology=topology)
+        assert_identical(spec_result, batched_result)
+
+    def test_small_l1i_fills_hit_the_touched_set(self):
+        # Four L1I sets against an FDIP depth of four: the prefetch window
+        # wraps onto the set of the line just fetched, so an inline fill
+        # moves the MRU way the kernel touched last, and the refetch of
+        # that line in the next record must touch it again.
+        config = config_for("lru")
+        l1i = config.l1i
+        config = replace(config, l1i=replace(
+            l1i, size_bytes=4 * l1i.associativity * l1i.line_bytes))
+        assert config.l1i.num_sets == 4
+        spec_result, batched_result = (
+            simulate(config, RefetchWorkload("refetch", 1), 2_000, 8_000,
+                     engine=engine)
+            for engine in ENGINES
+        )
         assert_identical(spec_result, batched_result)
 
 

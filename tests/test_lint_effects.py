@@ -167,7 +167,6 @@ KERNEL_NO_DIRTY = (
 SHADOW = ShadowPair(
     kernel=("kernel/k.py", "Kernel._run"),
     spec=("core/c.py", "Core.execute"),
-    inlined=frozenset(),
 )
 
 

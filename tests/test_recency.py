@@ -200,67 +200,3 @@ class TestDifferential:
         if len(ref):
             assert fast.mru_way == ref.mru_way
             assert fast.lru_way == ref.lru_way
-
-
-class TestBulkTouch:
-    """touch_many/bulk_touch must be exactly per-element touch, in order."""
-
-    def test_touch_many_equals_sequential_touch(self):
-        bulk = make_stack([0, 1, 2, 3])
-        sequential = make_stack([0, 1, 2, 3])
-        for way in (2, 0, 2, 3):
-            sequential.touch(way)
-        bulk.touch_many((2, 0, 2, 3))
-        assert bulk.order() == sequential.order()
-
-    def test_touch_many_on_naive_stack(self):
-        stack = NaiveRecencyStack()
-        for way in (0, 1, 2):
-            stack.place_at_depth(way, 0)
-        stack.touch_many((0, 1))
-        assert stack.order() == [1, 0, 2]
-
-    def test_touch_many_empty_iterable_is_noop(self):
-        stack = make_stack([0, 1])
-        stack.touch_many(())
-        assert stack.order() == [1, 0]
-
-    def test_bulk_touch_routes_by_set_index(self):
-        from repro.common.recency import bulk_touch
-
-        stacks = [make_stack([0, 1, 2]) for _ in range(3)]
-        reference = [make_stack([0, 1, 2]) for _ in range(3)]
-        pairs = [(0, 1), (2, 0), (0, 2), (1, 1), (0, 1)]
-        for s, w in pairs:
-            reference[s].touch(w)
-        bulk_touch(stacks, [s for s, _ in pairs], [w for _, w in pairs])
-        for stack, ref in zip(stacks, reference):
-            assert stack.order() == ref.order()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=3),
-                      st.integers(min_value=0, max_value=3)),
-            max_size=60,
-        )
-    )
-    def test_bulk_touch_matches_scalar_touch_sequence(self, pairs):
-        from repro.common.recency import bulk_touch
-
-        stacks = [make_stack([0, 1, 2, 3]) for _ in range(4)]
-        reference = [make_stack([0, 1, 2, 3]) for _ in range(4)]
-        for s, w in pairs:
-            reference[s].touch(w)
-        bulk_touch(stacks, [s for s, _ in pairs], [w for _, w in pairs])
-        for stack, ref in zip(stacks, reference):
-            assert stack.order() == ref.order()
-
-    def test_checked_stack_verifies_touch_many(self):
-        from repro.common.invariants import CheckedRecencyStack
-
-        stack = CheckedRecencyStack()
-        for way in (0, 1, 2):
-            stack.place_at_depth(way, 0)
-        stack.touch_many((0, 2))
-        assert stack.order() == [2, 0, 1]
