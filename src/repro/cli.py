@@ -140,7 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.warmup < 0:
+        parser.error(f"--warmup must be non-negative, got {args.warmup}")
+    if args.measure <= 0:
+        parser.error(f"--measure must be positive, got {args.measure}")
     if args.list:
         for name, policies in POLICY_MATRIX.items():
             spec = ", ".join(f"{k}={v}" for k, v in policies.items()) or "all-LRU baseline"

@@ -123,6 +123,8 @@ class Session:
         overlap_residual: Optional[float] = None,
         multicore: bool = False,
     ) -> None:
+        if overlap_residual is not None and not 0.0 <= overlap_residual <= 1.0:
+            raise ValueError(f"overlap_residual must be in [0, 1], got {overlap_residual}")
         self.name = "+".join(w.name for w in workloads)
         self.engine_name = engine_for(engine, len(workloads))
         if multicore:

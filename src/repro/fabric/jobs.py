@@ -90,6 +90,11 @@ class SimJob:
     def __post_init__(self) -> None:
         if not self.workloads:
             raise ValueError("SimJob needs at least one workload")
+        if self.warmup < 0 or self.measure <= 0:
+            raise ValueError(
+                "SimJob needs warmup >= 0 and measure > 0 instructions, got "
+                f"warmup={self.warmup}, measure={self.measure}"
+            )
         engine_for(self.engine, len(self.workloads))  # validate at build time
         if self.topology is None and len(self.workloads) > 2:
             raise ValueError("SimJob takes one workload (1T) or two (SMT)")

@@ -28,7 +28,7 @@ from ..common.types import PageSize
 from ..ptw.page_table import PageTable
 from ..ptw.walker import PageTableWalker
 from ..replacement.xptp import XPTPPolicy
-from .spec import KIND_CACHE, KIND_DRAM, KIND_TLB, KIND_WALKER, NodeSpec, TopologySpec
+from .spec import KIND_CACHE, KIND_DRAM, TopologySpec
 from .structures import MMUStructures, build_cache, build_dram, build_tlb
 
 SizePolicy = Callable[[int], PageSize]
@@ -125,37 +125,29 @@ def build(
     spec.validate()
     stats = stats if stats is not None else SimStats()
 
+    # DRAM first (every cache chain ends there), then each cache in spec
+    # order, after the levels below it: the order stats levels and metric
+    # reports list them in.  A loop, not a recursive closure: a closure
+    # that names itself is a reference cycle, which would keep the whole
+    # machine alive after its cell returns, until a full garbage collection.
+    (dram_node,) = spec.nodes_of_kind(KIND_DRAM)
+    dram = build_dram(dram_node, stats)
     caches: Dict[str, object] = {}
+    for node in spec.nodes_of_kind(KIND_CACHE):
+        below = dram
+        for level in reversed(spec.cache_path(node.name)):
+            if level.name not in caches:
+                caches[level.name] = build_cache(level, config, below, stats)
+            below = caches[level.name]
+
     tlbs: Dict[str, object] = {}
     walkers: Dict[str, PageTableWalker] = {}
-    dram = None
-
-    def realize_memory(name: str):
-        """Cache-or-DRAM lookup, building the next_level chain on demand."""
-        nonlocal dram
-        node = spec.node(name)
-        if node.kind == KIND_DRAM:
-            if dram is None:
-                dram = build_dram(node, stats)
-            return dram
-        if name not in caches:
-            next_level = realize_memory(node.next_level)
-            caches[name] = build_cache(node, config, next_level, stats)
-        return caches[name]
-
-    # Realize DRAM and caches in spec order (recursing for dependencies)
-    # so stats levels appear in the order the spec lists its nodes.
-    for node in spec.nodes:
-        if node.kind in (KIND_DRAM, KIND_CACHE):
-            realize_memory(node.name)
-
     page_table = PageTable(size_policy)
 
     def realize_walker(name: str) -> PageTableWalker:
         if name not in walkers:
             node = spec.node(name)
-            target = realize_memory(node.next_level)
-            walkers[name] = PageTableWalker(page_table, node.config, target, stats)
+            walkers[name] = PageTableWalker(page_table, node.config, caches[node.next_level], stats)
         return walkers[name]
 
     def realize_tlb(name: str):

@@ -67,6 +67,17 @@ def assert_same_result(a, b):
     assert a.stats.instructions == b.stats.instructions
 
 
+class TestSimJobWindows:
+    @pytest.mark.parametrize("warmup,measure", [(-1, MEASURE), (WARMUP, 0), (WARMUP, -5)])
+    def test_empty_or_negative_window_rejected(self, warmup, measure):
+        with pytest.raises(ValueError, match="warmup >= 0 and measure > 0"):
+            SimJob(scaled_config(), (ServerWorkload("w", 1),), warmup, measure)
+
+    def test_zero_warmup_accepted(self):
+        job = SimJob(scaled_config(), (ServerWorkload("w", 1),), 0, MEASURE)
+        assert job.warmup == 0
+
+
 class TestConcurrentDedup:
     def _submit_concurrently(self, scheduler, matrices):
         results = [None] * len(matrices)

@@ -91,6 +91,20 @@ class TestMultiStreamEngine:
 
 
 class TestSession:
+    @pytest.mark.parametrize("residual", [-1.0, 1.5, float("nan")])
+    def test_overlap_residual_outside_unit_interval_rejected(self, residual):
+        with pytest.raises(ValueError, match="overlap_residual"):
+            Session(scaled_config(), [small(1), small(2)], overlap_residual=residual)
+        with pytest.raises(ValueError, match="overlap_residual"):
+            simulate_smt(scaled_config(), [small(1), small(2)], 100, 200,
+                         overlap_residual=residual)
+
+    @pytest.mark.parametrize("residual", [0.0, 1.0])
+    def test_overlap_residual_bounds_accepted(self, residual):
+        result = simulate_smt(scaled_config(), [small(1), small(2)], 100, 500,
+                              overlap_residual=residual)
+        assert result.stats.cycles > 0
+
     def test_boundary_resets_machine_and_engine(self):
         for engine in ("spec", "batched"):
             session = Session(config_for("lru"), [small(3)], engine=engine)

@@ -15,6 +15,7 @@ from repro.topology import (
     SUITES,
     TopologyError,
     TopologySpec,
+    build,
     from_system_config,
     make_topology,
     node,
@@ -170,6 +171,39 @@ class TestBuilderBitIdentity:
             resolve_topology(None, config).content_hash()
             == resolve_topology("table1", config).content_hash()
         )
+
+
+class TestRealizationOrder:
+    """The builder realizes DRAM, then each cache after the levels below it,
+    in spec order; metric reports list levels in that order.  The lists
+    were recorded from the recursive builder this one replaced."""
+
+    TLBS = ["ITLB", "DTLB", "STLB"]
+    EXPECTED = {
+        "table1": ["llc", "l2c", "l1i", "l1d"],
+        "split-stlb": ["llc", "l2c", "l1i", "l1d"],
+        "no-llc": ["l2c", "l1i", "l1d"],
+        "multicore-2": ["llc", "l2c_0", "l1i_0", "l1d_0", "l2c_1", "l1i_1", "l1d_1"],
+        "shared-l2": ["llc", "l2c", "l1i_0", "l1d_0", "l1i_1", "l1d_1"],
+    }
+
+    @pytest.mark.parametrize("preset", sorted(EXPECTED))
+    def test_preset_order(self, preset):
+        config = scaled_config()
+        built = build(resolve_topology(preset, config), config)
+        caches = self.EXPECTED[preset]
+        assert list(built.caches) == caches
+        assert list(built.stats.levels) == (
+            ["DRAM"] + [name.upper() for name in caches] + self.TLBS
+        )
+
+    def test_top_down_spec_order_builds_dependencies_first(self):
+        config = scaled_config()
+        spec = table1_spec(config)
+        reversed_spec = dataclasses.replace(spec, nodes=tuple(reversed(spec.nodes)))
+        built = build(reversed_spec, config)
+        assert list(built.caches) == ["llc", "l2c", "l1d", "l1i"]
+        assert list(built.stats.levels) == ["DRAM", "LLC", "L2C", "L1D", "L1I"] + self.TLBS
 
 
 # --------------------------------------------------------------------- #
