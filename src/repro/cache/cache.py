@@ -313,9 +313,6 @@ class SetAssociativeCache:
     # Introspection (tests, experiments)
     # ------------------------------------------------------------------ #
 
-    def contents(self, set_index: int) -> List[CacheLine]:
-        return self.sets[set_index]
-
     def occupancy(self) -> int:
         return sum(len(m) for m in self._tag_maps)
 

@@ -42,6 +42,17 @@ from .workloads.speclike import SpecLikeWorkload
 
 WORKLOAD_KINDS = ("server", "spec", "phased")
 
+#: Metric columns as (header, metric key).  A metric the topology has no
+#: bucket for (``l2c`` on ``multicore-N``, whose buckets are ``L2C_0``…;
+#: ``llc`` on ``no-llc``) prints as ``n/a``, not as zero.
+METRIC_COLUMNS = (
+    ("stlb_impki", "stlb.impki"),
+    ("stlb_dmpki", "stlb.dmpki"),
+    ("stlb_miss_lat", "stlb.avg_miss_latency"),
+    ("l2c_dtmpki", "l2c.dtmpki"),
+    ("llc_mpki", "llc.mpki"),
+)
+
 
 def describe(config: SystemConfig) -> str:
     """Render a configuration as a Table 1-style listing."""
@@ -183,10 +194,8 @@ def main(argv: List[str] = None) -> int:
     for workload in workloads:
         if args.large_pages:
             workload.large_page_percent = args.large_pages
-    workload = workloads[0]
 
-    headers = ["technique", "ipc", "speedup_%", "stlb_impki", "stlb_dmpki",
-               "stlb_miss_lat", "l2c_dtmpki", "llc_mpki"]
+    headers = ["technique", "ipc", "speedup_%"] + [h for h, _ in METRIC_COLUMNS]
     if args.energy:
         headers.append("pj_per_instr")
     try:
@@ -214,16 +223,8 @@ def main(argv: List[str] = None) -> int:
     rows = []
     baseline_ipc = results[0].ipc
     for technique, result in zip(args.techniques, results):
-        row = [
-            technique,
-            result.ipc,
-            100.0 * (result.ipc / baseline_ipc - 1.0),
-            result.get("stlb.impki"),
-            result.get("stlb.dmpki"),
-            result.get("stlb.avg_miss_latency"),
-            result.get("l2c.dtmpki"),
-            result.get("llc.mpki"),
-        ]
+        row = [technique, result.ipc, 100.0 * (result.ipc / baseline_ipc - 1.0)]
+        row += [result.metrics.get(key, "n/a") for _, key in METRIC_COLUMNS]
         if args.energy:
             row.append(energy_report(result.stats).pj_per_instruction)
         rows.append(row)

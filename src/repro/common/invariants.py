@@ -18,8 +18,8 @@ truthy:
   the merge strengthening rule (once data-PTE, always data-PTE) and that
   released entries still carry the bits they were allocated with;
 * :meth:`repro.core.system.System.reset_stats` asserts that no MSHR file
-  holds a leaked entry at the warmup/measurement boundary (the model is
-  synchronous: every ``access`` call releases what it allocates).
+  of any core holds a leaked entry at the warmup/measurement boundary (the
+  model is synchronous: every ``access`` call releases what it allocates).
 
 The default (``REPRO_CHECK`` unset or ``0``) changes nothing: the factories
 return the production classes, so the bench gate and the golden
@@ -159,15 +159,15 @@ def stack_factory(stack_cls: Type[StackLike]) -> Callable[[], StackLike]:
 
 
 def check_no_leaked_mshr_entries(system: "System") -> None:
-    """Assert every MSHR file is empty at a quiescent point.
+    """Assert every MSHR file — each cache's and each core's STLB's — is
+    empty at a quiescent point.
 
     The hierarchy is synchronous: each ``access``/``translate`` call releases
     the entries it allocates before returning, so a non-empty file at the
     warmup/measurement boundary means an allocate/release pairing bug.
     """
-    files = [
-        (cache.config.name, cache.mshrs) for cache in system.caches
-    ] + [("STLB", system.mmu.stlb_mshrs)]
+    files = [(cache.config.name, cache.mshrs) for cache in system.caches.values()]
+    files += [(f"{core.name} STLB", core.mmu.stlb_mshrs) for core in system.cores]
     for name, mshrs in files:
         # outstanding() counts live and structurally retired entries: a
         # retired entry still awaits its release, so one left over at a

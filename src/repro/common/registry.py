@@ -64,9 +64,6 @@ class Registry(Generic[T]):
     def items(self) -> Tuple[Tuple[str, T], ...]:
         return tuple(self._entries.items())
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 

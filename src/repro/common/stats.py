@@ -162,9 +162,6 @@ class SimStats:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def mpki(self, level: str) -> float:
-        return self.level(level).mpki(self.instructions)
-
     def reset(self) -> None:
         """Reset all counters (used at the warmup/measurement boundary).
 

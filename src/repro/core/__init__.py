@@ -2,7 +2,7 @@
 
 from .adaptive import AdaptiveXPTPController
 from .cpu import Core, THREAD_TAG_SHIFT
-from .multicore import MulticoreSystem, simulate_multicore
+from .multicore import simulate_multicore
 from .simulator import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
@@ -16,7 +16,6 @@ __all__ = [
     "AdaptiveXPTPController",
     "Core",
     "DEFAULT_MEASURE",
-    "MulticoreSystem",
     "simulate_multicore",
     "DEFAULT_WARMUP",
     "SimulationResult",

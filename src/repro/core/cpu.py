@@ -38,10 +38,15 @@ _STORE = RequestType.STORE
 
 
 class Core:
-    """Executes trace records against a :class:`System` and returns cycles."""
+    """Executes trace records against a :class:`System` and returns cycles.
 
-    def __init__(self, system: System, thread_id: int = 0) -> None:
+    The core's own structures (MMU, L1s, adaptive controller) come from
+    ``system.cores[slice_index]``; config, stats and DRAM are the machine's.
+    """
+
+    def __init__(self, system: System, thread_id: int = 0, slice_index: int = 0) -> None:
         self.system = system
+        self.slice = hw = system.cores[slice_index]
         self.thread_id = thread_id
         self.cfg = system.config.core
         self._l1i_latency = system.config.l1i.latency
@@ -65,11 +70,11 @@ class Core:
         )
         # Structure bindings (System wiring is fixed, and SimStats/stats
         # objects survive reset_stats() as the same instances).
-        self._translate = system.mmu.translate
-        self._l1i_access = system.l1i.access
-        self._l1d_access = system.l1d.access
+        self._translate = hw.mmu.translate
+        self._l1i_access = hw.l1i.access
+        self._l1d_access = hw.l1d.access
         self._stats = system.stats
-        self._adaptive_on_instructions = system.adaptive.on_instructions
+        self._adaptive_on_instructions = hw.adaptive.on_instructions
         self._dram_note_instructions = system.dram.note_instructions
 
     # ------------------------------------------------------------------ #

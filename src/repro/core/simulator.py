@@ -23,6 +23,7 @@ from ..common.params import SystemConfig
 from ..common.stats import SimStats
 from ..common.types import PageSize
 from ..kernel import BatchedEngine, ScalarEngine, engine_for
+from ..topology.presets import resolve_topology
 from ..topology.spec import TopologySpec
 from ..workloads.base import SyntheticWorkload
 from .cpu import Core, THREAD_TAG_SHIFT
@@ -77,7 +78,7 @@ def _export_structures(system: System, stats: SimStats) -> None:
         stats.counters["xptp.protected_evictions_avoided"] = (
             xptp.protected_evictions_avoided
         )
-    for cache in system.caches:
+    for cache in system.caches.values():
         key = cache.config.name.lower()
         stats.counters[f"{key}.mshr_allocations"] = cache.mshrs.allocations
         stats.counters[f"{key}.mshr_merges"] = cache.mshrs.merges
@@ -108,10 +109,10 @@ class Session:
     Building a session builds the machine, its cores and record streams,
     and the engine that drives them (:func:`repro.kernel.engine_for`).  The
     phases are plain methods, called in order; each window is bounded by
-    instructions or, for the benchmark harness, by trace records.  One
-    workload runs on one core; given ``overlap_residual``, two run as SMT
-    threads of one core; with ``multicore``, each gets its own core on a
-    :class:`~repro.core.multicore.MulticoreSystem`.
+    instructions or, for the benchmark harness, by trace records.  The
+    topology's core count sets the run mode: N > 1 cores run one workload
+    each; one core runs one workload, or two as SMT threads given
+    ``overlap_residual``.
     """
 
     def __init__(
@@ -121,25 +122,34 @@ class Session:
         topology: Union[None, str, TopologySpec] = None,
         engine: Optional[str] = None,
         overlap_residual: Optional[float] = None,
-        multicore: bool = False,
     ) -> None:
         if overlap_residual is not None and not 0.0 <= overlap_residual <= 1.0:
             raise ValueError(f"overlap_residual must be in [0, 1], got {overlap_residual}")
+        spec = resolve_topology(topology, config)
+        num_cores = spec.num_cores
+        if num_cores > 1:
+            if overlap_residual is not None:
+                raise ValueError(
+                    f"SMT threads share one core; topology {spec.name!r} has "
+                    f"{num_cores} cores"
+                )
+            if len(workloads) != num_cores:
+                raise ValueError(
+                    f"topology {spec.name!r} has {num_cores} cores but "
+                    f"{len(workloads)} workloads were given"
+                )
+        elif len(workloads) != (1 if overlap_residual is None else 2):
+            raise ValueError("a core runs one workload, or two as SMT threads")
         self.name = "+".join(w.name for w in workloads)
         self.engine_name = engine_for(engine, len(workloads))
-        if multicore:
-            from .multicore import MulticoreSystem  # it imports this module
-
-            self.system = MulticoreSystem(config, workloads, topology=topology)
-            cores = self.system.cores
-        elif len(workloads) == (1 if overlap_residual is None else 2):
-            self.system = System(config, tagged_size_policy(workloads), topology=topology)
-            cores = [Core(self.system, thread_id=i) for i in range(len(workloads))]
-        else:
-            raise ValueError("a core runs one workload, or two as SMT threads")
+        self.system = System(config, tagged_size_policy(workloads), spec)
+        cores = [
+            Core(self.system, i, i if num_cores > 1 else 0)
+            for i in range(len(workloads))
+        ]
         streams = [w.record_stream() for w in workloads]
         if self.engine_name == "batched":
-            self.engine = BatchedEngine(cores[0].system, cores[0], streams[0])
+            self.engine = BatchedEngine(self.system, cores[0], streams[0])
         else:
             self.engine = ScalarEngine(self.system.stats, cores, streams, overlap_residual)
 
@@ -161,7 +171,9 @@ class Session:
 
     def result(self, config_label: str = "") -> SimulationResult:
         stats = self.system.stats
-        if isinstance(self.system, System):
+        # Structure counters are exported for single-core machines only;
+        # multi-core reports carry SimStats alone.
+        if len(self.system.cores) == 1:
             _export_adaptive(self.system, stats)
             _export_structures(self.system, stats)
         return SimulationResult(self.name, config_label, stats)

@@ -109,7 +109,7 @@ class ParallelRunner:
 
     def _submit(self, jobs: Iterable[SimJob]) -> Submission:
         """Fresh scheduler per call: every run re-probes the shared cache,
-        preserving the legacy per-run hit/miss accounting."""
+        so hit/miss counts are per run."""
         submission = Scheduler(self._config, cache=self.cache, sink=self).submit(jobs)
         self.last_report = submission.report
         return submission

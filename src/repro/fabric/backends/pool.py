@@ -1,7 +1,6 @@
 """Process-pool backend: attempts run in worker processes.
 
-The port of the legacy ``ParallelRunner._run_pool`` substrate.  Worker
-crashes (an OS kill, an injected ``worker.crash``) surface as
+Worker crashes (an OS kill, an injected ``worker.crash``) surface as
 ``BrokenProcessPool``; the backend discards the broken pool and raises
 :class:`~.base.BackendBroken` naming the interrupted attempts, carrying
 any completions that finished before the break so no result is lost.  The

@@ -13,18 +13,16 @@ thread.  Whichever consumer blocks on a result first becomes the driver —
 it fills the backend to capacity, blocks in ``Backend.drain()`` with the
 scheduler lock released, and hands results to every waiting submission.
 When it leaves, the next blocked consumer takes over.  A single-threaded
-caller therefore behaves exactly like the legacy ``ParallelRunner.run``
-loop (same thread executes serial cells, so SIGALRM deadlines arm), while
-concurrent callers share one backend and one in-flight set.
+caller therefore runs a plain serial loop (the same thread executes serial
+cells, so SIGALRM deadlines arm), while concurrent callers share one
+backend and one in-flight set.
 
-Failure semantics are the legacy runner's, per unique cell: ``fail-fast``
-aborts the whole scheduler at the first permanently failed cell (every
+Failure semantics apply per unique cell: ``fail-fast`` aborts the whole scheduler at the first permanently failed cell (every
 consumer raises :class:`~repro.fabric.jobs.SimulationError`); ``continue``
 finishes everything and each submission raises a :class:`MatrixError`
 carrying its report and partial results at exhaustion.  Event strings,
-log lines and report shapes are unchanged from the monolith — CI greps
-and the chaos acceptance tests run against this code through
-``ParallelRunner``.
+log lines and report shapes are an interface: CI greps them, and the
+chaos acceptance tests run against this code through ``ParallelRunner``.
 
 Fault plans travel with the scheduler, never through process state: it
 resolves one plan at construction (``config.fault_plan``, else the
@@ -188,10 +186,10 @@ class MatrixError(SimulationError):
 class SchedulerConfig:
     """Resolved execution knobs, shared by every submission of a scheduler.
 
-    Build with :meth:`from_knobs` to get the legacy knob resolution —
+    Build with :meth:`from_knobs` to get the full knob resolution —
     env-variable fallbacks (``REPRO_FAILURE_POLICY``, ``REPRO_MAX_RETRIES``,
     ``REPRO_CELL_TIMEOUT``, ``REPRO_POOL_RESTARTS``, ``REPRO_PROGRESS``,
-    ``REPRO_FAULTS``) and the historical validation messages.
+    ``REPRO_FAULTS``) and validation.
     """
 
     workers: int = 1
@@ -285,7 +283,7 @@ class _CellState:
 
     The first submission to name a key owns the canonical
     :class:`CellReport` (``report_cell``) — status, attempts and events are
-    maintained there in place, exactly like the legacy runner.  Later
+    maintained there in place.  Later
     submissions attach as watchers and receive a field-by-field copy when
     the cell settles.
     """
@@ -337,8 +335,8 @@ class Submission:
         before any simulation starts); simulated cells yield in completion
         order.  At exhaustion, failed cells raise :class:`MatrixError`
         (carrying the report and partial results) and an unfilled result
-        slot raises :class:`SimulationError` — identical to the legacy
-        ``ParallelRunner.run`` contract.
+        slot raises :class:`SimulationError` — the ``ParallelRunner.run``
+        contract.
         """
         while True:
             item = self._scheduler._next(self)
@@ -466,7 +464,7 @@ class Scheduler:
             keys = [job_key(job) for job in sub.jobs]
             # Fix the progress denominator before logging any cell so
             # "done/total" lines always show this submission's full
-            # contribution (matches the legacy upfront `total`).
+            # contribution.
             self.total += sum(
                 1 for k in dict.fromkeys(keys) if k not in self._states
             )
@@ -586,7 +584,7 @@ class Scheduler:
             if self._backend is None:
                 name = self.config.backend
                 if name is None:
-                    # Legacy selection: serial when one worker or only one
+                    # Default selection: serial when one worker or only one
                     # pending cell; otherwise the process pool.
                     name = (
                         "serial"
@@ -680,7 +678,7 @@ class Scheduler:
                 self._queue.append(key)
 
     def _on_broken(self, broken: BackendBroken) -> None:
-        """Legacy broken-pool recovery: count the restart, requeue the
+        """Broken-pool recovery: count the restart, requeue the
         interrupted cells (their in-flight attempt was consumed by the
         crash, so first-attempt-only injected faults cannot re-fire and
         the matrix converges), fail everything once the budget is out."""

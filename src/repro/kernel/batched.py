@@ -161,9 +161,10 @@ class BatchedEngine:
         # never live outside the call it was rewritten for.
         self._data_req = core._data_req
 
-        mmu = system.mmu
+        hw = core.slice
+        mmu = hw.mmu
         itlb, dtlb = mmu.itlb, mmu.dtlb
-        l1i, l1d = system.l1i, system.l1d
+        l1i, l1d = hw.l1i, hw.l1d
         self._itlb_km = itlb._key_maps
         self._itlb_sets = itlb.sets
         self._itlb_mask = itlb._set_mask
@@ -194,7 +195,7 @@ class BatchedEngine:
         self._chirp_observe = (
             chirp.observe_fetch_page if chirp is not None else None
         )
-        self._adaptive_on = system.adaptive.on_instructions
+        self._adaptive_on = hw.adaptive.on_instructions
         dram = system.dram
         self._dram = dram
         self._dram_stats = dram.stats

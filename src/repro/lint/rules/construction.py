@@ -1,13 +1,13 @@
 """RPR006 — hardware leaf structures are built only by the topology layer.
 
 The machine graph is declarative: :class:`repro.topology.spec.TopologySpec`
-describes it, :func:`repro.topology.builder.build` realizes it, and the
+describes it, :class:`repro.core.system.System` realizes it, and the
 sanctioned constructors in ``repro/topology/structures.py`` are the only
 place :class:`SetAssociativeCache`, :class:`TLB` or :class:`DRAM` are
 instantiated directly.  A direct construction anywhere else in ``src/repro``
 re-introduces hand wiring — the exact duplication the topology refactor
-removed — and bypasses the policy-context and stats-bucket conventions the
-builder guarantees, so it is flagged.  Tests and examples are not linted by
+removed — and bypasses the policy-context and stats-bucket conventions
+those constructors guarantee, so it is flagged.  Tests and examples are not linted by
 CI; genuinely sanctioned sites elsewhere carry ``# repro: allow[RPR006]``.
 """
 

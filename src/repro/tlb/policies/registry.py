@@ -3,7 +3,7 @@
 Built on the shared :class:`repro.common.registry.Registry` base; each entry
 is a factory ``(num_sets, associativity, **context) -> policy``.  The
 context keywords (``itp_config``, ``p_evict_data``, ``seed``) are sourced
-from :class:`SystemConfig` by the topology builder; factories take what
+from :class:`SystemConfig` by :mod:`repro.topology.structures`; factories take what
 they need and ignore the rest.  Extensions register their own factories on
 :data:`TLB_POLICIES` (see ``examples/custom_policy.py``).
 """

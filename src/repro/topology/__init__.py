@@ -1,13 +1,12 @@
 """Declarative machine topologies.
 
 The one place the simulated machine's shape is defined: specs
-(:mod:`.spec`), the builder that realizes them (:mod:`.builder`), the
+(:mod:`.spec`, realized by :class:`repro.core.system.System`), the
 named presets every CLI ``--topology`` flag accepts (:mod:`.presets`), the
 sanctioned leaf-structure constructors (:mod:`.structures`) and the
 Table 2 policy suites (:mod:`.suites`).  See ``docs/architecture.md``.
 """
 
-from .builder import BuiltCore, BuiltTopology, build
 from .presets import (
     PRESET_NAMES,
     from_system_config,
@@ -24,9 +23,6 @@ from .structures import MMUStructures, mmu_structures
 from .suites import SUITES, PolicySuite, suite_for
 
 __all__ = [
-    "BuiltCore",
-    "BuiltTopology",
-    "build",
     "PRESET_NAMES",
     "from_system_config",
     "make_topology",

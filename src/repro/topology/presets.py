@@ -1,13 +1,12 @@
 """Named topology presets.
 
-Every machine the repo previously hard-wired is expressible as a preset:
+The named machines every ``--topology`` flag accepts:
 
-* ``table1``       — the paper's Table 1 single-core hierarchy (what the
-                     legacy ``System.__init__`` wired by hand);
+* ``table1``       — the paper's Table 1 single-core hierarchy (the
+                     default);
 * ``split-stlb``   — Section 6.6's split instruction/data STLB, each half
                      with half the unified entry count;
-* ``multicore-N``  — N cores with private L1/L2/TLBs sharing LLC + DRAM
-                     (the legacy ``MulticoreSystem`` graph);
+* ``multicore-N``  — N cores with private L1/L2/TLBs sharing LLC + DRAM;
 * ``no-llc``       — two-level hierarchy, L2C drains straight to DRAM;
 * ``shared-l2``    — cores share one L2C (and the walker PTE stream hits
                      the shared L2C), the Victima/Garibaldi-style shared
@@ -54,8 +53,8 @@ def _core_nodes(
     """One core's private structures plus its core node.
 
     ``suffix`` disambiguates node names between cores; ``stats_suffix``
-    mirrors the legacy multicore convention of suffixing *cache* stats
-    buckets (``L2C_0``) while TLB/walker buckets stay shared (``STLB``).
+    suffixes the *cache* stats buckets (``L2C_0``) while TLB/walker
+    buckets stay shared (``STLB``).
     """
     l2_name = f"l2c{suffix}"
     nodes = [
@@ -95,8 +94,8 @@ def _core_nodes(
 
 
 def from_system_config(config: SystemConfig, name: str = "table1") -> TopologySpec:
-    """The graph the legacy single-core ``System`` wired: the paper's
-    Table 1 hierarchy, honouring ``config.istlb`` for split-STLB configs."""
+    """The paper's Table 1 single-core hierarchy, honouring
+    ``config.istlb`` for split-STLB configs (the default machine)."""
     nodes = _memory_nodes(config) + _core_nodes(
         config, istlb=config.istlb is not None
     )
@@ -130,8 +129,8 @@ def no_llc(config: SystemConfig) -> TopologySpec:
 
 
 def multicore(config: SystemConfig, num_cores: int) -> TopologySpec:
-    """N cores, private L1/L2/TLB/walker, shared LLC + DRAM (the legacy
-    ``MulticoreSystem`` graph; cache stats buckets suffixed per core)."""
+    """N cores, private L1/L2/TLB/walker, shared LLC + DRAM (cache stats
+    buckets suffixed per core)."""
     if num_cores < 1:
         raise TopologyError("multicore topology needs at least one core")
     nodes = _memory_nodes(config)

@@ -13,11 +13,9 @@ two kinds of edges:
 Sharing is expressed by reference: two cores whose ``l2c`` chains point at
 the same LLC node share that LLC; two cores linking the same ``l2c`` node
 share the L2C itself (the ``shared-l2`` preset).  Nothing is wired by hand
-anywhere else — :class:`repro.core.system.System`,
-:class:`repro.core.multicore.MulticoreSystem` and every experiment driver
-construct machines by building one of these specs (usually via
-:mod:`repro.topology.presets`) and handing it to
-:func:`repro.topology.builder.build`.
+anywhere else — every driver builds a machine by handing one of these
+specs (usually via :mod:`repro.topology.presets`) to
+:class:`repro.core.system.System`.
 
 Specs are frozen, serializable (``to_dict``/``from_dict``) and carry a
 stable :meth:`~TopologySpec.content_hash` used by the experiment result

@@ -3,9 +3,8 @@
 This module is the *only* place in ``src/repro`` that instantiates
 :class:`SetAssociativeCache`, :class:`TLB` or :class:`DRAM` directly (lint
 rule RPR006 enforces this).  Everything goes through the same registry
-factories and the same ``make_mshr_file``/``stack_factory`` hooks the
-legacy wiring used, so ``REPRO_CHECK=1`` keeps validating builder-made
-machines exactly as it validated hand-wired ones.
+factories and the same ``make_mshr_file``/``stack_factory`` hooks, so
+``REPRO_CHECK=1`` validates every built machine.
 
 The policy *context* convention lives here: every policy factory receives
 the full set of :class:`SystemConfig`-derived keywords (``xptp_k``,
@@ -86,11 +85,9 @@ class MMUStructures(NamedTuple):
 
 
 def mmu_structures(config: SystemConfig, stats: SimStats) -> MMUStructures:
-    """Build the TLB set the legacy ``MMU.__init__`` wired by hand.
-
-    Compatibility path for direct ``MMU(config, walker, stats)``
-    construction (tests and downstream code); topology builds inject
-    per-node structures instead.
+    """The Table 1 TLB set for a directly constructed
+    ``MMU(config, walker, stats)``; :class:`repro.core.system.System`
+    injects per-node structures instead.
     """
     itlb = TLB(
         config.itlb,

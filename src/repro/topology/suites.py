@@ -2,7 +2,7 @@
 
 A :class:`PolicySuite` names one column of the paper's Table 2: which
 replacement policy runs at each structure (structures not listed use LRU).
-The :data:`SUITES` registry is the single source of truth — the legacy
+The :data:`SUITES` registry is the single source of truth — the
 ``POLICY_MATRIX`` mapping in :mod:`repro.experiments.runner` and the
 ``config_for`` technique lookup are both derived from it, so the technique
 list, its ordering and the unknown-technique error message can never drift

@@ -65,7 +65,7 @@ class WarmupBoundaryMachine(RuleBasedStateMachine):
     def _snapshot_state(self):
         system = self.system
         caches = {}
-        for name, cache in system.topology.caches.items():
+        for name, cache in system.caches.items():
             caches[name] = (
                 cache.occupancy(),
                 cache.data_pte_blocks(),
@@ -75,7 +75,7 @@ class WarmupBoundaryMachine(RuleBasedStateMachine):
                 sorted(cache.mshrs._retired),
             )
         tlbs = {}
-        for name, tlb in system.topology.tlbs.items():
+        for name, tlb in system.tlbs.items():
             tlbs[name] = (
                 tlb.occupancy(),
                 tlb.instruction_entries(),
@@ -143,7 +143,7 @@ class WarmupBoundaryMachine(RuleBasedStateMachine):
             assert level.prefetch_requests == 0
 
         # --- Structure-resident counters ------------------------------ #
-        for name, cache in system.topology.caches.items():
+        for name, cache in system.caches.items():
             mshrs = cache.mshrs
             for counter in ("allocations", "merges", "full_events", "retirements"):
                 assert getattr(mshrs, counter) == 0, f"{name}.mshr {counter} leaked"

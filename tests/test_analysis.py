@@ -52,6 +52,11 @@ class TestStackDistance:
         curve = dict(profile.miss_curve([1, 2, 4]))
         assert curve[1] >= curve[2] >= curve[4]
 
+    def test_mpki_curve_counts_misses_per_kilo_instruction(self):
+        # Three cold misses; reuses at distances 1, 1 and 2.
+        profile = StackDistanceAnalyzer().run([0, 1, 0, 1, 2, 0])
+        assert profile.mpki_curve([1, 2, 4], 2000) == [(1, 3.0), (2, 2.0), (4, 1.5)]
+
 
 @settings(max_examples=60, deadline=None)
 @given(keys=st.lists(st.integers(0, 15), min_size=1, max_size=300),
@@ -200,6 +205,22 @@ class TestAccessProbe:
         assert probe.access(req) == 42
         assert sink.count == 1
         assert probe.line_addresses == [0x1000 >> 6]
+
+    def test_stack_profile_of_captured_stream(self):
+        from repro.analysis.probe import AccessProbe
+        from repro.common.types import MemoryRequest, RequestType
+
+        class Sink:
+            def access(self, req):
+                return 0
+
+        probe = AccessProbe(Sink())
+        for line in (0, 1, 0, 0):
+            probe.access(MemoryRequest(address=line * 64, req_type=RequestType.LOAD))
+        profile = probe.stack_profile()
+        assert profile.accesses == 4
+        assert profile.cold_misses == 2
+        assert profile.histogram == {1: 1, 0: 1}
 
     def test_writebacks_filtered_by_default(self):
         from repro.analysis.probe import AccessProbe

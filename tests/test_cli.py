@@ -65,6 +65,22 @@ class TestMain:
         assert rc == 0
         assert "topology=no-llc" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("topology,missing,present", [
+        ("multicore-2", "l2c_dtmpki", "llc_mpki"),
+        ("no-llc", "llc_mpki", "l2c_dtmpki"),
+    ])
+    def test_metric_without_a_bucket_prints_na(self, capsys, topology, missing, present):
+        rc = main([
+            "--techniques", "lru", "--topology", topology,
+            "--warmup", "1000", "--measure", "4000", "--workers", "1",
+        ])
+        assert rc == 0
+        header, _, row = capsys.readouterr().out.splitlines()[:3]
+        cells = dict(zip(header.split(), row.split()))
+        assert cells[missing] == "n/a"
+        assert cells[present] != "n/a"
+        float(cells[present])
+
     def test_unknown_topology(self, capsys):
         assert main(["--topology", "ring"]) == 2
         assert "unknown topology" in capsys.readouterr().err

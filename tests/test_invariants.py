@@ -164,6 +164,20 @@ class TestLeakedMSHREntries:
 
 
 @pytest.mark.repro_check
+class TestMulticoreLeakedMSHREntries:
+    def test_leak_in_second_core_stlb_detected_at_reset(self, checks_on):
+        system = System(scaled_config(), topology="multicore-2")
+        system.cores[1].mmu.stlb_mshrs.allocate(
+            0x2, RequestType.PTW, is_pte=True, translation_type=AccessType.DATA
+        )
+        with pytest.raises(InvariantViolation, match="core_1 STLB MSHR file holds 1"):
+            system.reset_stats()
+
+    def test_clean_multicore_system_resets_fine(self, checks_on):
+        System(scaled_config(), topology="multicore-2").reset_stats()
+
+
+@pytest.mark.repro_check
 class TestEndToEndSmoke:
     def test_simulation_runs_clean_under_repro_check(self, checks_on):
         wl = ServerWorkload("check-smoke", 7, code_pages=64, data_pages=800,

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.common.params import scaled_config
-from repro.core.multicore import MulticoreSystem, simulate_multicore
+from repro.core.multicore import simulate_multicore
 from repro.core.simulator import simulate
+from repro.core.system import System
 from repro.workloads.server import ServerWorkload
 from repro.workloads.speclike import SpecLikeWorkload
 
@@ -20,9 +21,9 @@ def wl(seed, **kw):
 
 class TestWiring:
     def test_private_and_shared_structures(self):
-        system = MulticoreSystem(scaled_config(), [wl(1), wl(2)])
+        system = System(scaled_config(), topology="multicore-2")
         assert len(system.cores) == 2
-        s0, s1 = system.slices
+        s0, s1 = system.cores
         assert s0.l2c is not s1.l2c
         assert s0.l1d is not s1.l1d
         assert s0.l2c.next_level is system.llc
@@ -30,18 +31,18 @@ class TestWiring:
         assert system.llc.next_level is system.dram
 
     def test_per_core_stats_levels(self):
-        system = MulticoreSystem(scaled_config(), [wl(1), wl(2)])
-        assert "L2C_0" in {s.l2c.stats.name for s in system.slices}
-        assert "L2C_1" in {s.l2c.stats.name for s in system.slices}
+        system = System(scaled_config(), topology="multicore-2")
+        assert "L2C_0" in {s.l2c.stats.name for s in system.cores}
+        assert "L2C_1" in {s.l2c.stats.name for s in system.cores}
 
     def test_requires_workloads(self):
         with pytest.raises(ValueError):
-            MulticoreSystem(scaled_config(), [])
+            simulate_multicore(scaled_config(), [])
 
     def test_adaptive_per_core_with_xptp(self):
         cfg = scaled_config().with_policies(stlb="itp", l2c="xptp")
-        system = MulticoreSystem(cfg, [wl(1), wl(2)])
-        assert all(a.active for a in system.adaptives)
+        system = System(cfg, topology="multicore-2")
+        assert all(c.adaptive.active for c in system.cores)
 
 
 class TestSimulateMulticore:
@@ -51,6 +52,15 @@ class TestSimulateMulticore:
         per_thread = result.stats.per_thread_instructions
         assert set(per_thread) == {0, 1}
         assert abs(per_thread[0] - per_thread[1]) < 2000
+
+    def test_one_core_matches_simulate_on_multicore_1(self):
+        # One machine class: the multicore driver and the single-workload
+        # driver report the same metrics for the same one-core machine.
+        cfg = scaled_config().with_policies(stlb="itp", l2c="xptp")
+        multi = simulate_multicore(cfg, [wl(1)], 3000, 10000)
+        single = simulate(cfg, wl(1), 3000, 10000, topology="multicore-1")
+        assert multi.metrics == single.metrics
+        assert "xptp.protected_evictions_avoided" in multi.metrics
 
     def test_deterministic(self):
         a = simulate_multicore(scaled_config(), [wl(1), wl(2)], 3000, 10000)

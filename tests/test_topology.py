@@ -6,8 +6,8 @@ import dataclasses
 import pytest
 
 from repro.common.params import scaled_config
-from repro.core.multicore import MulticoreSystem, simulate_multicore
-from repro.core.simulator import simulate
+from repro.core.multicore import simulate_multicore
+from repro.core.simulator import Session, simulate
 from repro.core.system import System
 from repro.experiments.runner import POLICY_MATRIX, config_for
 from repro.fabric import job_key, single
@@ -15,7 +15,6 @@ from repro.topology import (
     SUITES,
     TopologyError,
     TopologySpec,
-    build,
     from_system_config,
     make_topology,
     node,
@@ -142,13 +141,14 @@ class TestValidation:
         with pytest.raises(TopologyError, match="bad core count"):
             make_topology("multicore-0", scaled_config())
 
-    def test_system_rejects_multicore_spec(self):
-        with pytest.raises(ValueError, match="single-core"):
-            System(scaled_config(), topology="multicore-2")
+    def test_session_rejects_smt_on_multicore_spec(self):
+        with pytest.raises(ValueError, match="SMT threads share one core"):
+            Session(scaled_config(), [workload(), workload()], "multicore-2",
+                    overlap_residual=0.25)
 
     def test_multicore_rejects_core_count_mismatch(self):
         with pytest.raises(ValueError, match="2 cores but 1 workloads"):
-            MulticoreSystem(scaled_config(), [workload()], topology="multicore-2")
+            Session(scaled_config(), [workload()], topology="multicore-2")
 
 
 # --------------------------------------------------------------------- #
@@ -190,7 +190,7 @@ class TestRealizationOrder:
     @pytest.mark.parametrize("preset", sorted(EXPECTED))
     def test_preset_order(self, preset):
         config = scaled_config()
-        built = build(resolve_topology(preset, config), config)
+        built = System(config, topology=preset)
         caches = self.EXPECTED[preset]
         assert list(built.caches) == caches
         assert list(built.stats.levels) == (
@@ -201,7 +201,7 @@ class TestRealizationOrder:
         config = scaled_config()
         spec = table1_spec(config)
         reversed_spec = dataclasses.replace(spec, nodes=tuple(reversed(spec.nodes)))
-        built = build(reversed_spec, config)
+        built = System(config, topology=reversed_spec)
         assert list(built.caches) == ["llc", "l2c", "l1d", "l1i"]
         assert list(built.stats.levels) == ["DRAM", "LLC", "L2C", "L1D", "L1I"] + self.TLBS
 
@@ -239,20 +239,14 @@ class TestPresetSmoke:
         assert result.ipc > 0
 
     def test_shared_l2_shares_one_cache(self):
-        system = MulticoreSystem(
-            scaled_config(),
-            [workload(seed=3, name="a"), workload(seed=4, name="b")],
-            topology="shared-l2",
-        )
-        assert system.slices[0].l2c is system.slices[1].l2c
-        assert system.slices[0].l1d is not system.slices[1].l1d
+        system = System(scaled_config(), topology="shared-l2")
+        assert system.cores[0].l2c is system.cores[1].l2c
+        assert system.cores[0].l1d is not system.cores[1].l1d
 
     def test_multicore_private_l2s(self):
-        system = MulticoreSystem(
-            scaled_config(), [workload(seed=3, name="a"), workload(seed=4, name="b")]
-        )
-        assert system.slices[0].l2c is not system.slices[1].l2c
-        assert system.slices[0].llc is system.slices[1].llc
+        system = System(scaled_config(), topology="multicore-2")
+        assert system.cores[0].l2c is not system.cores[1].l2c
+        assert system.cores[0].llc is system.cores[1].llc
 
 
 # --------------------------------------------------------------------- #
