@@ -1,6 +1,6 @@
 """Runtime invariant checking — the ``REPRO_CHECK=1`` debug mode.
 
-PR 2 bought its ~2x throughput with hand-maintained invariants: the O(1)
+The hot path rests on hand-maintained invariants: the production list
 :class:`~repro.common.recency.RecencyStack` must stay order-identical to the
 naive executable specification, the synchronous hierarchy must drain every
 MSHR file before a quiescent point, and the Figure 7 ``Type`` bit must

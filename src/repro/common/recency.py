@@ -13,11 +13,10 @@ Position conventions:
 
 Two implementations share the same API:
 
-* :class:`RecencyStack` — the production structure: an intrusive doubly
-  linked list over way indices.  ``touch``/``remove``/``mru_way``/
-  ``lru_way`` are O(1); ``place_at_depth``/``place_above_lru`` are O(d) in
-  the (small, constant) target depth rather than O(associativity) list
-  scans, and a touch of the way that is already MRU — the common case on
+* :class:`RecencyStack` — the production structure: one list of way
+  indices, MRU first.  Every structure in the model has 4-16 ways, so a
+  move is one C-level ``list.remove`` and one ``list.insert`` over at most
+  16 slots; a touch of the way that is already MRU — the common case on
   skewed workloads — is a single comparison.
 * :class:`NaiveRecencyStack` — the original list-based model, kept as the
   executable specification.  The property tests drive both with random op
@@ -33,176 +32,68 @@ from typing import Iterator, List
 class RecencyStack:
     """Ordered stack of way indices for a single set, MRU first.
 
-    Implemented as a doubly linked list threaded through two dicts
-    (``way -> neighbour``); ``None`` terminates both ends.  Membership,
-    promotion to MRU, removal and end queries are O(1).
+    One Python list, MRU at index 0 (see the module docstring for why a
+    list suffices at this associativity).
     """
 
-    __slots__ = ("_prev", "_next", "_head", "_tail")
+    __slots__ = ("_order",)
 
     def __init__(self) -> None:
-        self._prev = {}  # way -> neighbour toward MRU (None at the head)
-        self._next = {}  # way -> neighbour toward LRU (None at the tail)
-        self._head = None  # MRU way
-        self._tail = None  # LRU way
+        self._order: List[int] = []
 
     def __len__(self) -> int:
-        return len(self._next)
+        return len(self._order)
 
     def __contains__(self, way: int) -> bool:
-        return way in self._next
+        return way in self._order
 
     def __iter__(self) -> Iterator[int]:
         """Iterate ways from MRU to LRU."""
-        nxt = self._next
-        node = self._head
-        while node is not None:
-            yield node
-            node = nxt[node]
+        return iter(self._order)
 
     def order(self) -> List[int]:
         """Copy of the MRU→LRU ordering (for tests and introspection)."""
-        return list(self)
+        return self._order[:]
 
     @property
     def mru_way(self) -> int:
-        if self._head is None:
+        if not self._order:
             raise IndexError("empty recency stack")
-        return self._head
+        return self._order[0]
 
     @property
     def lru_way(self) -> int:
-        if self._tail is None:
+        if not self._order:
             raise IndexError("empty recency stack")
-        return self._tail
-
-    # ------------------------------------------------------------------ #
-    # Link management
-    # ------------------------------------------------------------------ #
-
-    def _unlink(self, way: int) -> None:
-        prev, nxt = self._prev, self._next
-        p = prev.pop(way)
-        n = nxt.pop(way)
-        if p is None:
-            self._head = n
-        else:
-            nxt[p] = n
-        if n is None:
-            self._tail = p
-        else:
-            prev[n] = p
-
-    def _link_head(self, way: int) -> None:
-        h = self._head
-        self._prev[way] = None
-        self._next[way] = h
-        if h is None:
-            self._tail = way
-        else:
-            self._prev[h] = way
-        self._head = way
-
-    def _link_tail(self, way: int) -> None:
-        t = self._tail
-        self._next[way] = None
-        self._prev[way] = t
-        if t is None:
-            self._head = way
-        else:
-            self._next[t] = way
-        self._tail = way
-
-    def _link_before(self, way: int, ref: int) -> None:
-        """Insert ``way`` immediately MRU-side of ``ref``."""
-        p = self._prev[ref]
-        self._prev[way] = p
-        self._next[way] = ref
-        self._prev[ref] = way
-        if p is None:
-            self._head = way
-        else:
-            self._next[p] = way
-
-    # ------------------------------------------------------------------ #
-    # Public operations
-    # ------------------------------------------------------------------ #
+        return self._order[-1]
 
     def depth_from_mru(self, way: int) -> int:
-        if way not in self._next:
-            raise ValueError(f"way {way} not in recency stack")
-        nxt = self._next
-        node = self._head
-        depth = 0
-        while node != way:
-            node = nxt[node]
-            depth += 1
-        return depth
+        return self._order.index(way)
 
     def height_from_lru(self, way: int) -> int:
-        if way not in self._next:
-            raise ValueError(f"way {way} not in recency stack")
-        prev = self._prev
-        node = self._tail
-        height = 0
-        while node != way:
-            node = prev[node]
-            height += 1
-        return height
+        order = self._order
+        return len(order) - 1 - order.index(way)
 
     def discard(self, way: int) -> None:
         """Remove ``way`` if present (eviction cleanup)."""
-        prev, nxt = self._prev, self._next
-        if way not in nxt:
-            return
-        p = prev.pop(way)
-        n = nxt.pop(way)
-        if p is None:
-            self._head = n
-        else:
-            nxt[p] = n
-        if n is None:
-            self._tail = p
-        else:
-            prev[n] = p
+        order = self._order
+        if way in order:
+            order.remove(way)
 
     def remove(self, way: int) -> None:
-        # _unlink inlined, with the membership check folded in.
-        prev, nxt = self._prev, self._next
-        if way not in nxt:
-            raise ValueError(f"way {way} not in recency stack")
-        p = prev.pop(way)
-        n = nxt.pop(way)
-        if p is None:
-            self._head = n
-        else:
-            nxt[p] = n
-        if n is None:
-            self._tail = p
-        else:
-            prev[n] = p
+        self._order.remove(way)
 
     def touch(self, way: int) -> None:
-        """Promote ``way`` to the MRU position (classic LRU update)."""
-        h = self._head
-        if way == h:
+        """Promote ``way`` to the MRU position (classic LRU update).
+
+        A touch of the way that is already MRU (the common case on skewed
+        workloads) returns after one comparison.
+        """
+        order = self._order
+        if order and order[0] == way:
             return
-        # _unlink + _link_head inlined.  ``way != head`` implies its prev
-        # neighbour exists, and the stack stays non-empty after the unlink.
-        prev, nxt = self._prev, self._next
-        if way not in nxt:
-            raise ValueError(f"way {way} not in recency stack")
-        p = prev.pop(way)
-        n = nxt.pop(way)
-        nxt[p] = n
-        if n is None:
-            self._tail = p
-        else:
-            prev[n] = p
-        prev[way] = None
-        nxt[way] = h
-        prev[h] = way
-        self._head = way
+        order.remove(way)
+        order.insert(0, way)
 
     def place_at_depth(self, way: int, depth: int) -> None:
         """Insert/move ``way`` to ``depth`` positions below MRU.
@@ -211,28 +102,12 @@ class RecencyStack:
         the LRU end.  All entries previously at or below that depth move one
         position toward LRU — the paper's step (4) stack update.
         """
-        nxt = self._next
-        if way in nxt:
-            self._unlink(way)
-        if depth <= 0:
-            # _link_head inlined: the on-fill MRU insert is the hot case.
-            prev = self._prev
-            h = self._head
-            prev[way] = None
-            nxt[way] = h
-            if h is None:
-                self._tail = way
-            else:
-                prev[h] = way
-            self._head = way
-            return
-        if depth >= len(nxt):
-            self._link_tail(way)
-            return
-        ref = self._head
-        for _ in range(depth):
-            ref = nxt[ref]
-        self._link_before(way, ref)
+        order = self._order
+        if way in order:
+            order.remove(way)
+        # list.insert clamps a large index itself, but counts a negative
+        # one from the end.
+        order.insert(depth if depth > 0 else 0, way)
 
     def place_above_lru(self, way: int, height: int) -> None:
         """Insert/move ``way`` to ``height`` positions above the LRU end.
@@ -240,35 +115,22 @@ class RecencyStack:
         ``height=0`` is the LRU position itself (next eviction candidate);
         this implements iTP's ``LRUpos + M`` data promotion.
         """
-        if way in self._next:
-            self._unlink(way)
-        size = len(self._next)
-        if height <= 0:
-            self._link_tail(way)
-            return
-        if height >= size:
-            self._link_head(way)
-            return
-        prev = self._prev
-        ref = self._tail
-        for _ in range(height - 1):
-            ref = prev[ref]
-        self._link_before(way, ref)
+        order = self._order
+        if way in order:
+            order.remove(way)
+        index = len(order) - height
+        order.insert(index if index > 0 else 0, way)
 
     def ways_from_lru(self) -> Iterator[int]:
         """Iterate ways from LRU to MRU (victim-search order)."""
-        prev = self._prev
-        node = self._tail
-        while node is not None:
-            yield node
-            node = prev[node]
+        return reversed(self._order)
 
 
 class NaiveRecencyStack:
     """Reference list-based recency stack (the original implementation).
 
     O(associativity) per operation; kept as the executable specification
-    the O(1) :class:`RecencyStack` is property-tested against, and as the
+    :class:`RecencyStack` is property-tested against, and as the
     slow path of the golden bit-identity test.
     """
 

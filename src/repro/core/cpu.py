@@ -79,14 +79,8 @@ class Core:
 
     # ------------------------------------------------------------------ #
 
-    def _overlap(self, latency: float) -> float:
-        """Data-side latency the ROB cannot hide."""
-        exposed = latency - self._rob_hide_cycles
-        if exposed <= 0:
-            return 0.0
-        return exposed * self._data_overlap_factor
-
     def _data_access(self, vaddr: int, pc: int, is_store: bool) -> float:
+        """One load or store; returns the data-side latency the ROB cannot hide."""
         tr = self._translate(vaddr, _DATA, self.thread_id)
         req = self._data_req
         req.address = (tr.pfn << PAGE_BITS) | (vaddr & self._offset_mask)

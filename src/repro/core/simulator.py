@@ -103,6 +103,25 @@ def tagged_size_policy(workloads: Sequence[SyntheticWorkload]):
     return policy
 
 
+def is_smt_run(spec: TopologySpec, num_workloads: int) -> bool:
+    """Check the run-mode rule; True when the workloads run as SMT threads.
+
+    N > 1 cores need N workloads, one each; one core takes one workload, or
+    two as SMT threads.  Any other count raises :class:`ValueError`.
+    """
+    num_cores = spec.num_cores
+    if num_cores > 1:
+        if num_workloads != num_cores:
+            raise ValueError(
+                f"topology {spec.name!r} has {num_cores} cores but "
+                f"{num_workloads} workloads were given"
+            )
+        return False
+    if num_workloads not in (1, 2):
+        raise ValueError("a core runs one workload, or two as SMT threads")
+    return num_workloads == 2
+
+
 class Session:
     """One run of the paper's method (Sections 5.1-5.2), phase by phase.
 
@@ -127,19 +146,12 @@ class Session:
             raise ValueError(f"overlap_residual must be in [0, 1], got {overlap_residual}")
         spec = resolve_topology(topology, config)
         num_cores = spec.num_cores
-        if num_cores > 1:
-            if overlap_residual is not None:
-                raise ValueError(
-                    f"SMT threads share one core; topology {spec.name!r} has "
-                    f"{num_cores} cores"
-                )
-            if len(workloads) != num_cores:
-                raise ValueError(
-                    f"topology {spec.name!r} has {num_cores} cores but "
-                    f"{len(workloads)} workloads were given"
-                )
-        elif len(workloads) != (1 if overlap_residual is None else 2):
-            raise ValueError("a core runs one workload, or two as SMT threads")
+        if is_smt_run(spec, len(workloads)) != (overlap_residual is not None):
+            raise ValueError(
+                "SMT threads share one core and only they take an "
+                f"overlap_residual (topology {spec.name!r}: {num_cores} core(s), "
+                f"{len(workloads)} workload(s))"
+            )
         self.name = "+".join(w.name for w in workloads)
         self.engine_name = engine_for(engine, len(workloads))
         self.system = System(config, tagged_size_policy(workloads), spec)

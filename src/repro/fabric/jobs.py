@@ -26,6 +26,7 @@ from pathlib import Path  # noqa: F401 - re-exported type alias convenience
 from typing import Optional, Sequence, Tuple, Union
 
 from ..common.params import SystemConfig
+from ..core.simulator import is_smt_run
 from ..kernel import engine_for
 from ..topology.presets import resolve_topology
 from ..topology.spec import TopologySpec
@@ -71,12 +72,14 @@ class SimJob:
     name (``"split-stlb"``, ``"multicore-2"``, ...) or a full
     :class:`TopologySpec`.  A multi-core topology dispatches to
     :func:`repro.core.multicore.simulate_multicore` and takes one workload
-    per core.  ``engine`` selects the execution engine
-    (:mod:`repro.kernel`): ``None`` defers to ``REPRO_ENGINE`` then the
-    default, so the choice resolves on the executing worker and is pinned
-    into the cache key.  A job with more than one workload always runs
-    ``spec`` (:func:`repro.kernel.engine_for`); pinning ``batched`` on one
-    raises :class:`ValueError` here.
+    per core.  The workload count is checked against the topology when the
+    job is built (:func:`repro.core.simulator.is_smt_run`, the rule
+    :class:`~repro.core.simulator.Session` applies).  ``engine`` selects
+    the execution engine (:mod:`repro.kernel`): ``None`` defers to
+    ``REPRO_ENGINE`` then the default, so the choice resolves on the
+    executing worker and is pinned into the cache key.  A job with more
+    than one workload always runs ``spec`` (:func:`repro.kernel.engine_for`);
+    pinning ``batched`` on one raises :class:`ValueError` here.
     """
 
     config: SystemConfig
@@ -95,9 +98,9 @@ class SimJob:
                 "SimJob needs warmup >= 0 and measure > 0 instructions, got "
                 f"warmup={self.warmup}, measure={self.measure}"
             )
-        engine_for(self.engine, len(self.workloads))  # validate at build time
-        if self.topology is None and len(self.workloads) > 2:
-            raise ValueError("SimJob takes one workload (1T) or two (SMT)")
+        # Validate at build time, not in a worker after dispatch.
+        engine_for(self.engine, len(self.workloads))
+        is_smt_run(self.resolved_topology(), len(self.workloads))
 
     def resolved_topology(self) -> TopologySpec:
         """The job's machine graph as a spec (default graph when ``None``)."""

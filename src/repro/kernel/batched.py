@@ -46,12 +46,9 @@ Bit-identity notes (each is load-bearing; see tests/test_kernel_diff.py):
   quiescent point), so they are summed in locals for the whole block and
   committed once — even across scalar fallbacks, because integer addition
   commutes;
-* recency is touched at hit time, in the spec's order.  A touch of the
-  ``(set, way)`` touched last for that structure is skipped (it is still
-  MRU); that dedup register is reset after any real-machinery call that
-  can move the structure's MRU way — an inline FDIP fill into that set,
-  the dirty-victim ``prefetch`` escape, ``Prefetcher.on_access``, a
-  ``Core._data_access`` re-run, and the scalar fallback (all four);
+* recency is touched at hit time, in the spec's order, through the same
+  ``RecencyStack.touch`` the policies call (a touch of the way that is
+  already MRU costs one comparison there, so nothing is skipped here);
 * the DRAM bandwidth window is replayed inline per record with the exact
   ``note_instructions`` arithmetic; ``_window_accesses`` and
   ``_queue_delay`` are kept live on the DRAM object (inline prefetches
@@ -447,12 +444,6 @@ class BatchedEngine:
         acc_it = acc_dt = acc_ci = acc_cd = 0
         pf_i = pf_d = 0
         acc_inst = 0
-        # Touch dedup registers: the (set, way) each structure touched
-        # last, skipped while it is still that set's MRU way.
-        last_it_s = last_it_w = -1
-        last_dt_s = last_dt_w = -1
-        last_ci_s = last_ci_w = -1
-        last_cd_s = last_cd_w = -1
         # Fetch/data translation caches (valid while no scalar machinery
         # can mutate TLB state) and the CHiRP same-page dedup register.
         last_vpn = -1
@@ -595,19 +586,13 @@ class BatchedEngine:
                 if chirp_observe is not None and vpn != chirp_last:
                     chirp_observe(vpn)
                     chirp_last = vpn
-                if ts != last_it_s or tw != last_it_w:
-                    itlb_stacks[ts].touch(tw)
-                    last_it_s = ts
-                    last_it_w = tw
+                itlb_stacks[ts].touch(tw)
                 acc_it += 1
                 line = l1i_sets[cs][cw]
                 if line.prefetched:
                     line.prefetched = False
                     pf_i += 1
-                if cs != last_ci_s or cw != last_ci_w:
-                    l1i_stacks[cs].touch(cw)
-                    last_ci_s = cs
-                    last_ci_w = cw
+                l1i_stacks[cs].touch(cw)
                 acc_ci += 1
                 if issue_i:
                     # FDIP issues: each absent window target is brought in
@@ -641,7 +626,6 @@ class BatchedEngine:
                                 # defer to the real machinery rather than
                                 # replicate the writeback path inline.
                                 self._l1i.prefetch(t, pc)
-                                last_ci_s = -1
                                 t += 1
                                 continue
                             evict_n += 1
@@ -667,8 +651,6 @@ class BatchedEngine:
                         vline.translation_type = None
                         tm[tag] = way
                         stk.place_at_depth(way, 0)
-                        if s2 == last_ci_s:
-                            last_ci_s = -1
                         pf_fill += 1
                         t += 1
                 fdip_last = la
@@ -697,13 +679,9 @@ class BatchedEngine:
                                 # included — and runs the miss machinery.
                                 data_stall += core_data(va, pc, is_st)
                                 last_dvpn = -1
-                                last_dt_s = last_cd_s = -1
                                 continue
                             dcw = dcw2
-                        if dts != last_dt_s or dtw != last_dt_w:
-                            dtlb_stacks[dts].touch(dtw)
-                            last_dt_s = dts
-                            last_dt_w = dtw
+                        dtlb_stacks[dts].touch(dtw)
                         acc_dt += 1
                         dline = l1d_sets[dcs][dcw]
                         if is_st:
@@ -711,10 +689,7 @@ class BatchedEngine:
                         if dline.prefetched:
                             dline.prefetched = False
                             pf_d += 1
-                        if dcs != last_cd_s or dcw != last_cd_w:
-                            l1d_stacks[dcs].touch(dcw)
-                            last_cd_s = dcs
-                            last_cd_w = dcw
+                        l1d_stacks[dcs].touch(dcw)
                         acc_cd += 1
                         if nl_ok and clean:
                             continue
@@ -725,7 +700,6 @@ class BatchedEngine:
                         req.req_type = store_rt if is_st else load_rt
                         req.pc = pc
                         nl.on_access(l1d, req, True)
-                        last_cd_s = -1
                         clean = False
                 n = npis[i]
                 instructions += n
@@ -766,7 +740,6 @@ class BatchedEngine:
             wi = dram._window_instructions
             if fdip is not None:
                 fdip_last = fdip._last_line
-            last_it_s = last_dt_s = last_ci_s = last_cd_s = -1
             last_vpn = -1
             last_dvpn = -1
             chirp_last = vpn

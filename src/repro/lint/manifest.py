@@ -21,9 +21,7 @@ from typing import Dict, FrozenSet, NamedTuple, Tuple
 #: Functions (qualified as ``Class.method`` or bare function name) that run
 #: per memory reference / per miss.  RPR001 forbids allocation inside them.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
-    "core/cpu.py": frozenset(
-        {"Core.execute", "Core._data_access", "Core._overlap"}
-    ),
+    "core/cpu.py": frozenset({"Core.execute", "Core._data_access"}),
     "cache/cache.py": frozenset(
         {
             "SetAssociativeCache.access",

@@ -9,7 +9,7 @@ asserts:
 * residency, hit/miss outcome and demand latency match the model;
 * the policy's recency-stack order is *identical* to the model order
   (the stacks themselves run as ``CheckedRecencyStack`` differential
-  oracles, so both the O(1) structure and the policy's use of it are
+  oracles, so both the production structure and the policy's use of it are
   verified);
 * the xPTP Type bit written back from the MSHR at fill time matches what
   the request carried, and ``protected_evictions_avoided`` counts exactly

@@ -79,3 +79,28 @@ class TestParseRun:
 
     def test_missing_digest(self):
         assert ab.parse_run('{"correct": true}\n') == ({"correct": True}, None)
+
+
+class TestCallsPerRecord:
+    def test_calls_over_records(self):
+        assert ab.calls_per_record(2_838_106, 50_000) == 56.76212
+
+    def test_every_workload_has_profiled_cells(self):
+        assert set(ab.PROFILE_CELLS) == set(ab.WORKLOADS)
+
+    def test_same_commit_mismatch_is_a_problem(self):
+        calls = {"srv_00/spec": {"base": 58.38712, "head": 58.41296}}
+        assert ab.call_count_problems(calls, same_commit=False) == []
+        [problem] = ab.call_count_problems(calls, same_commit=True)
+        assert problem.startswith("srv_00/spec: calls per record differ")
+
+    def test_same_commit_equal_counts_pass(self):
+        calls = {"intense_0/spec": {"base": 131.83604, "head": 131.83604}}
+        assert ab.call_count_problems(calls, same_commit=True) == []
+
+    def test_failed_profile_is_a_problem_either_way(self):
+        calls = {"spec_00/batched": {"base": 55.0151, "head": None}}
+        for same_commit in (False, True):
+            assert ab.call_count_problems(calls, same_commit) == [
+                "spec_00/batched: profiling failed"
+            ]

@@ -1,6 +1,7 @@
 """Unit tests for the core timing model and System wiring."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,16 +47,34 @@ class TestSystemWiring:
 
 
 class TestOverlapModel:
+    """``Core._data_access``'s exposed-latency arithmetic, with translation
+    and the L1D stubbed to fixed latencies (the L1D always hits)."""
+
+    CFG = scaled_config().core
+
+    @staticmethod
+    def stall(latency, is_store=False):
+        core, system = make_core()
+        core._translate = lambda vaddr, kind, thread: SimpleNamespace(
+            pfn=0, latency=latency, stlb_miss=False
+        )
+        core._l1d_access = lambda req: system.config.l1d.latency
+        return core._data_access(0x80_0000_0000, 0x40_0000, is_store)
+
     def test_short_latency_fully_hidden(self):
-        core, _ = make_core()
-        assert core._overlap(core.cfg.rob_hide_cycles) == 0.0
-        assert core._overlap(5) == 0.0
+        assert self.stall(self.CFG.rob_hide_cycles) == 0.0
+        assert self.stall(5) == 0.0
 
     def test_long_latency_partially_exposed(self):
-        core, _ = make_core()
-        exposed = core._overlap(120)
-        expected = (120 - core.cfg.rob_hide_cycles) * core.cfg.data_overlap_factor
-        assert exposed == pytest.approx(expected)
+        expected = (120 - self.CFG.rob_hide_cycles) * self.CFG.data_overlap_factor
+        assert self.stall(120) == pytest.approx(expected)
+
+    def test_store_scaled_by_store_overlap_scale(self):
+        load = self.stall(120)
+        assert load > 0.0
+        assert self.stall(120, is_store=True) == pytest.approx(
+            load * self.CFG.store_overlap_scale
+        )
 
 
 class TestExecute:

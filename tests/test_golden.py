@@ -54,9 +54,10 @@ class TestGoldenMetrics:
 
 
 class TestStackBitIdentity:
-    """The O(1) recency stack must be *bit-identical* to the seed's list-based
-    stack: one full (technique, workload) cell run on each implementation has
-    to produce exactly the same metric report, not merely similar numbers.
+    """The production recency stack must be *bit-identical* to the seed's
+    list-based stack: one full (technique, workload) cell run on each
+    implementation has to produce exactly the same metric report, not merely
+    similar numbers.
 
     The iTP+xPTP cell is the discriminating one — it exercises every stack
     operation the paper's policies use: ``place_at_depth`` (iTP's MRU-N

@@ -133,10 +133,10 @@ def test_place_at_depth_lands_at_clamped_depth(ways, depth):
 
 
 # --------------------------------------------------------------------------- #
-# Differential tests: the O(1) linked-list stack against the naive list-based
+# Differential tests: the production stack against the naive list-based
 # reference model.  Any sequence of public operations must leave both in the
-# same MRU->LRU order — this is what licenses the DLL implementation to stand
-# in for the original without changing a single simulation metric.
+# same MRU->LRU order — this is what licenses the production implementation
+# to stand in for the original without changing a single simulation metric.
 # --------------------------------------------------------------------------- #
 
 _OPS = st.lists(

@@ -14,11 +14,11 @@ from repro.bench import bench_cell
 from repro.cli import main as cli_main
 from repro.common.params import scaled_config
 from repro.core.multicore import simulate_multicore
-from repro.core.simulator import Session, simulate, simulate_smt
+from repro.core.simulator import Session, is_smt_run, simulate, simulate_smt
 from repro.experiments.runner import config_for
 from repro.fabric import SimJob, job_key
 from repro.kernel import ENGINE_ENV, BatchedEngine, ScalarEngine, engine_for
-from repro.topology.presets import table1
+from repro.topology.presets import make_topology, table1
 from repro.workloads.server import ServerWorkload
 
 
@@ -47,6 +47,31 @@ class TestEngineFor:
     def test_unknown_engine_still_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             engine_for("vectorized", 2)
+
+
+#: (workload count, topology) pairs that fit no machine.
+BAD_SHAPES = [(1, "multicore-2"), (3, "table1"), (3, None), (3, "multicore-2")]
+
+
+class TestWorkloadCount:
+    """``Session`` and ``SimJob`` share one workload-count rule, so a bad
+    job fails when it is built, not in a worker after dispatch."""
+
+    @pytest.mark.parametrize("count, topology", BAD_SHAPES)
+    def test_simjob_rejects_at_construction(self, count, topology):
+        with pytest.raises(ValueError, match="workloads were given|one workload"):
+            SimJob(scaled_config(), (small(1),) * count, 100, 1000, topology=topology)
+
+    @pytest.mark.parametrize("count, topology", BAD_SHAPES)
+    def test_session_rejects_the_same_shapes(self, count, topology):
+        with pytest.raises(ValueError, match="workloads were given|one workload"):
+            Session(scaled_config(), [small(1)] * count, topology)
+
+    def test_two_workloads_are_smt_on_one_core_only(self):
+        config = scaled_config()
+        assert is_smt_run(make_topology("table1", config), 2)
+        assert not is_smt_run(make_topology("table1", config), 1)
+        assert not is_smt_run(make_topology("multicore-2", config), 2)
 
 
 class TestMultiStreamEngine:

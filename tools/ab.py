@@ -19,7 +19,16 @@ if any run fails or reports ``"correct": false``, or if the two
 revisions print different ``stats digest`` lines: a speed comparison of
 two programs that compute different results means nothing.
 
-The tool only calls perfbench; it changes nothing in either checkout.
+Next to the wall times it reports Python calls per record: for each
+compared workload, one fixed seed-0 ``lru`` cell per engine (figure
+windows) runs once a side, in a fresh interpreter on that side's ``src``,
+under cProfile for the measure window only; the count is every call the
+profiler recorded divided by ``engine.total_records`` (lock-step rounds
+for the SMT mix).  The count is deterministic, so when both revisions are
+the same commit a mismatch is a problem too (exit status 1).
+
+The tool only calls perfbench and the simulator's public ``Session``; it
+changes nothing in either checkout.
 """
 
 from __future__ import annotations
@@ -45,6 +54,44 @@ METRICS = tuple(BENCHMARK["end_to_end"])
 RESAMPLES = 2_000
 BOOTSTRAP_SEED = 20_250_301
 DIGEST_LINE = re.compile(r"^\S+\s+stats digest\s+(\S+)\s*$")
+
+#: The cells profiled for calls per record: ``(cell, engine)`` pairs per
+#: benchmark workload.
+PROFILE_CELLS = {
+    "server_fig08": (("srv_00", "spec"), ("srv_00", "batched")),
+    "speclike_hits": (("spec_00", "spec"), ("spec_00", "batched")),
+    "smt_mix": (("intense_0", "spec"),),
+}
+
+#: Run with ``python -c`` on one side's ``src``; argv[1] is a cell name
+#: from ``PROFILE_CELLS`` and argv[2] an engine.  Prints ``[calls,
+#: total_records]`` for the cell's measure window.  ``calls`` sums the
+#: profiler's raw entries: ``pstats.Stats.total_calls`` keys functions by
+#: ``(file, line, name)`` and keeps one of any that share it (every
+#: dataclass-generated ``__init__`` is ``<string>:2``), so it drops counts,
+#: and which ones it drops can change with an unrelated edit.
+PROFILE_SCRIPT = """
+import cProfile, json, sys
+from repro.core.simulator import Session
+from repro.experiments.runner import MEASURE, WARMUP, config_for
+from repro.workloads.mixes import smt_mixes
+from repro.workloads.server import server_suite
+from repro.workloads.speclike import spec_suite
+
+name, engine = sys.argv[1:3]
+workloads = {"srv_00": server_suite(1), "spec_00": spec_suite(1),
+             "intense_0": list(smt_mixes(1)[0].workloads)}[name]
+residual = 0.25 if len(workloads) == 2 else None
+session = Session(config_for("lru"), workloads, engine=engine,
+                  overlap_residual=residual)
+session.warmup(WARMUP)
+profiler = cProfile.Profile()
+profiler.enable()
+session.measure(MEASURE)
+profiler.disable()
+calls = sum(entry.callcount for entry in profiler.getstats())
+print(json.dumps([calls, session.engine.total_records]))
+"""
 
 
 # --------------------------------------------------------------------- #
@@ -85,6 +132,24 @@ def bootstrap_interval(ratios: Sequence[float], resamples: int = RESAMPLES,
     )
     tail = (1.0 - level) / 2.0
     return medians[int(tail * resamples)], medians[int((1.0 - tail) * resamples) - 1]
+
+
+def calls_per_record(total_calls: int, records: int) -> float:
+    """cProfile calls over a measure window per record (or lock-step round)."""
+    return total_calls / records
+
+
+def call_count_problems(calls: Dict[str, Dict[str, Optional[float]]],
+                        same_commit: bool) -> List[str]:
+    """Problems in ``{cell: {"base": x, "head": y}}`` calls per record: a
+    failed profile, or (both sides one commit) counts that differ."""
+    problems = []
+    for cell, sides in calls.items():
+        if None in sides.values():
+            problems.append(f"{cell}: profiling failed")
+        elif same_commit and sides["base"] != sides["head"]:
+            problems.append(f"{cell}: calls per record differ on one commit: {sides}")
+    return problems
 
 
 def summarize(base: Sequence[float], head: Sequence[float], better: str) -> Dict:
@@ -132,6 +197,29 @@ def run_perfbench(tree: Path, workload: str, seed: int,
     except (json.JSONDecodeError, IndexError):
         sys.stderr.write(proc.stdout[-2000:])
         return {"correct": False}, None
+
+
+def profile_cell(tree: Path, workload: str, engine: str) -> Optional[float]:
+    """Calls per record of one cell, profiled in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", PROFILE_SCRIPT, workload, engine],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None
+    return calls_per_record(*json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def profile(trees: Dict[str, Path], workloads: Sequence[str]) -> Dict[str, Dict]:
+    """``{workload: {"cell/engine": {side: calls per record}}}``."""
+    calls: Dict[str, Dict] = {}
+    for workload in workloads:
+        calls[workload] = {}
+        for cell, engine in PROFILE_CELLS[workload]:
+            sides = {side: profile_cell(trees[side], cell, engine) for side in trees}
+            calls[workload][f"{cell}/{engine}"] = sides
+            print(f"[ab] calls/record {cell}/{engine}: {sides}", file=sys.stderr, flush=True)
+    return calls
 
 
 def git(*args: str) -> str:
@@ -201,6 +289,13 @@ def print_table(summary: Dict) -> None:
             print(f"{workload:14s} {name:12s} A {side(s['base']):30s} "
                   f"B {side(s['head']):30s} B/A {s['ratio_median']:.4f} "
                   f"[{lo:.4f}, {hi:.4f}]  wins B {s['head_wins']} A {s['base_wins']}")
+        for cell, sides in entry.get("calls_per_record", {}).items():
+            base, head = sides["base"], sides["head"]
+            if base is None or head is None:
+                print(f"{workload:14s} {'calls/rec':12s} {cell}: profiling failed")
+                continue
+            print(f"{workload:14s} {'calls/rec':12s} A {base:<30.2f} B {head:<30.2f} "
+                  f"B/A {head / base:.4f}  {cell}")
 
 
 def main(argv: Sequence[str]) -> int:
@@ -226,6 +321,7 @@ def main(argv: Sequence[str]) -> int:
         for side, sha in revisions.items():
             git("worktree", "add", "--detach", str(trees[side]), sha)
         summary, problems = compare(trees, workloads, args.pairs, args.seed, args.seconds)
+        calls = profile(trees, workloads)
     finally:
         for tree in trees.values():
             if tree.exists():
@@ -233,6 +329,10 @@ def main(argv: Sequence[str]) -> int:
         git("worktree", "prune")
         shutil.rmtree(scratch, ignore_errors=True)
 
+    same_commit = revisions["base"] == revisions["head"]
+    for workload, cells in calls.items():
+        summary[workload]["calls_per_record"] = cells
+        problems.extend(call_count_problems(cells, same_commit))
     print_table(summary)
     if args.output:
         args.output.parent.mkdir(parents=True, exist_ok=True)
