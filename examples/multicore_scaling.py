@@ -10,7 +10,7 @@ Run:  python examples/multicore_scaling.py
 """
 
 from repro import ServerWorkload, scaled_config
-from repro.core.multicore import simulate_multicore
+from repro.core.simulator import simulate_multicore
 from repro.experiments.reporting import format_table
 
 

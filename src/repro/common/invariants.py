@@ -22,7 +22,7 @@ truthy:
   model is synchronous: every ``access`` call releases what it allocates).
 
 The default (``REPRO_CHECK`` unset or ``0``) changes nothing: the factories
-return the production classes, so the bench gate and the golden
+return the production classes, so the benchmark gate and the golden
 bit-identity guarantees are untouched.
 """
 

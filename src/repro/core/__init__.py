@@ -2,12 +2,12 @@
 
 from .adaptive import AdaptiveXPTPController
 from .cpu import Core, THREAD_TAG_SHIFT
-from .multicore import simulate_multicore
 from .simulator import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
     SimulationResult,
     simulate,
+    simulate_multicore,
     simulate_smt,
 )
 from .system import System

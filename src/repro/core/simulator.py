@@ -8,6 +8,13 @@ the longer record hides most of the shorter one, modelling latency hiding
 across hardware threads while shared-structure contention emerges naturally
 from the shared state.
 
+``simulate_multicore`` (extension) runs the other standard
+server-consolidation configuration: multi-programmed cores with private
+L1/L2/TLB hierarchies sharing the LLC and DRAM.  Each core runs its own
+workload in its own address space (the same high-bit tagging the SMT mode
+uses), so shared-structure contention is capacity/bandwidth contention,
+never aliasing.
+
 Every driver runs the paper's methodology through one :class:`Session`: a
 warmup window that touches state but not statistics, then a measurement
 window (Section 5.2 uses 50 M warmup + 100 M measured; defaults here are
@@ -23,7 +30,7 @@ from ..common.params import SystemConfig
 from ..common.stats import SimStats
 from ..common.types import PageSize
 from ..kernel import BatchedEngine, ScalarEngine, engine_for
-from ..topology.presets import resolve_topology
+from ..topology.presets import multicore, resolve_topology
 from ..topology.spec import TopologySpec
 from ..workloads.base import SyntheticWorkload
 from .cpu import Core, THREAD_TAG_SHIFT
@@ -128,10 +135,9 @@ class Session:
     Building a session builds the machine, its cores and record streams,
     and the engine that drives them (:func:`repro.kernel.engine_for`).  The
     phases are plain methods, called in order; each window is bounded by
-    instructions or, for the benchmark harness, by trace records.  The
-    topology's core count sets the run mode: N > 1 cores run one workload
-    each; one core runs one workload, or two as SMT threads given
-    ``overlap_residual``.
+    instructions or by trace records.  The topology's core count sets the
+    run mode: N > 1 cores run one workload each; one core runs one
+    workload, or two as SMT threads given ``overlap_residual``.
     """
 
     def __init__(
@@ -229,6 +235,35 @@ def simulate_smt(
     Two streams run only on ``spec`` (:func:`repro.kernel.engine_for`).
     """
     session = Session(config, workloads, topology, engine, overlap_residual)
+    session.warmup(warmup_instructions)
+    session.measure(measure_instructions)
+    return session.result(config_label)
+
+
+def simulate_multicore(
+    config: SystemConfig,
+    workloads: Sequence[SyntheticWorkload],
+    warmup_instructions: int = 50_000,
+    measure_instructions: int = 200_000,
+    config_label: str = "",
+    topology: Union[None, str, TopologySpec] = None,
+    engine: Union[None, str] = None,
+) -> SimulationResult:
+    """Run one workload per core; throughput = total instructions / slowest core.
+
+    Cores advance in lock-step rounds of one fetch group each; per-core
+    cycles accumulate independently while all shared-state contention
+    (LLC capacity, DRAM bandwidth) plays out through the shared objects.
+    ``topology=None`` picks the ``multicore-N`` preset for N workloads:
+    per-core front ends, MMUs, walkers and L2Cs, a shared LLC whose
+    replacement policy is the configured ``llc_policy``, and a shared DRAM
+    channel; any other topology with one core per workload (e.g. the
+    ``shared-l2`` preset) drops in.  Two or more cores run only on
+    ``spec`` (:func:`repro.kernel.engine_for`).
+    """
+    if topology is None:
+        topology = multicore(config, len(workloads))
+    session = Session(config, workloads, topology, engine)
     session.warmup(warmup_instructions)
     session.measure(measure_instructions)
     return session.result(config_label)

@@ -27,8 +27,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ...core.multicore import simulate_multicore
-from ...core.simulator import SimulationResult, simulate, simulate_smt
+from ...core.simulator import Session, SimulationResult, is_smt_run
 from ...faults import inject as fault_inject
 from ...faults.plan import FaultPlan
 from ..jobs import CellTimeout, SimJob
@@ -79,22 +78,12 @@ def execute_cell(
             # requeued cells run clean and every chaos run converges.
             fault_inject.maybe_crash(plan, job.cell)
             fault_inject.maybe_hang(plan, job.cell)
-        topology = job.resolved_topology() if job.topology is not None else None
-        if topology is not None and topology.num_cores > 1:
-            result = simulate_multicore(
-                job.config, list(job.workloads), job.warmup, job.measure,
-                config_label=job.label, topology=topology, engine=job.engine,
-            )
-        elif len(job.workloads) == 1:
-            result = simulate(
-                job.config, job.workloads[0], job.warmup, job.measure,
-                config_label=job.label, topology=topology, engine=job.engine,
-            )
-        else:
-            result = simulate_smt(
-                job.config, list(job.workloads), job.warmup, job.measure,
-                config_label=job.label, topology=topology, engine=job.engine,
-            )
+        smt = is_smt_run(job.resolved_topology(), len(job.workloads))
+        session = Session(job.config, job.workloads, job.topology, job.engine,
+                          0.25 if smt else None)
+        session.warmup(job.warmup)
+        session.measure(job.measure)
+        result = session.result(job.label)
     return result, time.perf_counter() - start
 
 

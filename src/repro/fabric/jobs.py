@@ -66,15 +66,15 @@ class SimJob:
     """One independent simulation: a ``(technique, workload)`` cell.
 
     ``workloads`` holds one workload for a single-thread run or two for an
-    SMT co-location (dispatching to :func:`repro.core.simulator.simulate` /
-    :func:`repro.core.simulator.simulate_smt`).  ``topology`` selects the
-    machine graph — ``None`` for the default Table 1 hierarchy, a preset
-    name (``"split-stlb"``, ``"multicore-2"``, ...) or a full
-    :class:`TopologySpec`.  A multi-core topology dispatches to
-    :func:`repro.core.multicore.simulate_multicore` and takes one workload
-    per core.  The workload count is checked against the topology when the
-    job is built (:func:`repro.core.simulator.is_smt_run`, the rule
-    :class:`~repro.core.simulator.Session` applies).  ``engine`` selects
+    SMT co-location (at an overlap residual of 0.25, the
+    :func:`repro.core.simulator.simulate_smt` default).  ``topology``
+    selects the machine graph — ``None`` for the default Table 1
+    hierarchy, a preset name (``"split-stlb"``, ``"multicore-2"``, ...)
+    or a full :class:`TopologySpec`.  A multi-core topology takes one
+    workload per core.  The workload count is checked against the
+    topology when the job is built (:func:`repro.core.simulator.is_smt_run`,
+    the rule :class:`~repro.core.simulator.Session` applies), and the job
+    runs as one ``Session``.  ``engine`` selects
     the execution engine (:mod:`repro.kernel`): ``None`` defers to
     ``REPRO_ENGINE`` then the default, so the choice resolves on the
     executing worker and is pinned into the cache key.  A job with more

@@ -113,9 +113,8 @@ class BatchedEngine:
     The engine is bit-identical to the scalar loop by construction (see the
     module docstring); ``fast_records`` (hit records no prefetcher issued
     for), ``issue_records`` (hit records that issued) and ``total_records``
-    expose fast-path coverage for the bench harness and
-    ``tools/profile_hotpath.py`` without touching
-    :class:`~repro.common.stats.SimStats`.
+    expose fast-path coverage (perfbench's ``kernel.*_frac``) without
+    touching :class:`~repro.common.stats.SimStats`.
     """
 
     __slots__ = (
@@ -309,8 +308,8 @@ class BatchedEngine:
         return self._run(instruction_limit, _NO_LIMIT)
 
     def run_records(self, record_count: int) -> float:
-        """Execute exactly ``record_count`` records (bench windows are
-        record-bounded); returns the cycles they cost, in stream order."""
+        """Execute exactly ``record_count`` records; returns the cycles they
+        cost, in stream order."""
         return self._run(_NO_LIMIT, record_count)
 
     def _run(self, limit: Union[int, float], records: Union[int, float]) -> float:

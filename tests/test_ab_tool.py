@@ -1,4 +1,4 @@
-"""The paired A/B harness's statistics (``tools/ab.py``), loaded by path."""
+"""The paired A/B harness's statistics and gate rules (``tools/ab.py``), loaded by path."""
 
 import importlib.util
 from pathlib import Path
@@ -104,3 +104,71 @@ class TestCallsPerRecord:
             assert ab.call_count_problems(calls, same_commit) == [
                 "spec_00/batched: profiling failed"
             ]
+
+    def test_calls_rule_budget_is_the_sim_ips_bound(self):
+        base = 40.0
+        within = {"srv_00/batched": {"base": base, "head": base * 1.25}}
+        over = {"srv_00/batched": {"base": base, "head": base * 1.26}}
+        assert ab.BOUNDS["sim_ips"] == 0.25
+        assert ab.call_count_problems(within, same_commit=False) == []
+        [problem] = ab.call_count_problems(over, same_commit=False)
+        assert problem.startswith("srv_00/batched: calls per record rose 1.2600x")
+
+    def test_fewer_calls_pass(self):
+        calls = {"intense_0/spec": {"base": 131.9, "head": 90.0}}
+        assert ab.call_count_problems(calls, same_commit=False) == []
+
+
+class TestWallRule:
+    @staticmethod
+    def metric(better, base, head):
+        return ab.summarize(base, head, better)
+
+    def test_bounds_come_from_the_benchmark(self):
+        assert ab.BOUNDS == {m["name"]: m["bound"] for m in ab.BENCHMARK["end_to_end"]}
+
+    def test_every_pair_slower_than_the_bound_fails(self):
+        metrics = {"sim_ips": self.metric("higher", [100.0] * 3, [70.0, 74.0, 60.0])}
+        [problem] = ab.wall_problems("server_fig08", metrics)
+        assert problem.startswith("server_fig08 sim_ips: B/A interval [0.6000, 0.7400]")
+
+    def test_one_pair_inside_the_bound_passes(self):
+        # Three pairs: the interval is [min, max] of the pair ratios.
+        metrics = {"sim_ips": self.metric("higher", [100.0] * 3, [70.0, 76.0, 60.0])}
+        assert metrics["sim_ips"]["ratio_ci95"] == [0.6, 0.76]
+        assert ab.wall_problems("server_fig08", metrics) == []
+
+    def test_lower_is_better_fails_above_one_plus_bound(self):
+        metrics = {
+            "cell_s_p50": self.metric("lower", [2.0] * 3, [2.6, 2.7, 2.8]),
+            "peak_rss_mb": self.metric("lower", [50.0] * 3, [57.0, 57.0, 57.0]),
+        }
+        [problem] = ab.wall_problems("smt_mix", metrics)
+        assert problem.startswith("smt_mix cell_s_p50:")
+        metrics["peak_rss_mb"] = self.metric("lower", [50.0] * 3, [58.0, 58.0, 58.0])
+        assert len(ab.wall_problems("smt_mix", metrics)) == 2
+
+    def test_gains_never_fail(self):
+        metrics = {
+            "sim_ips": self.metric("higher", [100.0] * 3, [200.0] * 3),
+            "setup_s": self.metric("lower", [1.0] * 3, [0.1] * 3),
+        }
+        assert ab.wall_problems("speclike_hits", metrics) == []
+
+
+class TestEngineFloor:
+    def test_speedup_is_best_spec_over_best_batched(self):
+        walls = {"spec": [4.4, 4.0, 4.2], "batched": [3.3, 3.2, 3.4]}
+        assert ab.engine_speedup(walls) == 4.0 / 3.2
+
+    def test_a_failed_run_is_a_problem(self):
+        walls = {"spec": [4.0, None, 4.2], "batched": [3.0, 3.1, 3.2]}
+        assert ab.engine_speedup(walls) is None
+        assert ab.engine_floor_problems(None) == ["srv_00 engine floor: a timed run failed"]
+
+    def test_floor(self):
+        assert ab.ENGINE_FLOOR == 1.05
+        assert ab.engine_floor_problems(1.05) == []
+        assert ab.engine_floor_problems(1.3) == []
+        [problem] = ab.engine_floor_problems(1.02)
+        assert problem == "srv_00 engine floor: batched runs 1.020x spec, below 1.05x"

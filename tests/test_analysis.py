@@ -93,6 +93,12 @@ class TestBelady:
         with pytest.raises(ValueError):
             belady_min([1], 0)
 
+    def test_rates(self):
+        result = belady_min([1, 2, 3, 1], capacity=2)
+        assert (result.hit_rate, result.miss_rate) == (0.25, 0.75)
+        empty = belady_min([], capacity=2)
+        assert (empty.hit_rate, empty.miss_rate) == (0.0, 0.0)
+
     def test_min_never_worse_than_lru(self):
         rng = random.Random(7)
         keys = [rng.randrange(32) for _ in range(1500)]

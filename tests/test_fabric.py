@@ -159,6 +159,18 @@ class TestConcurrentDedup:
         for got, want in zip(res_a + res_b, serial_a + serial_b):
             assert_same_result(got, want)
 
+    def test_submission_iterates_its_stream_and_close_is_idempotent(self):
+        scheduler = Scheduler(SchedulerConfig.from_knobs(1, False))
+        jobs = jobs_for(("lru",))
+        rows = {index: result.workload for index, _cell, result in scheduler.submit(jobs)}
+        assert rows == {index: job.workload_name for index, job in enumerate(jobs)}
+        scheduler.close()
+        scheduler.close()
+        # A closed scheduler builds a fresh backend on the next submission.
+        again = scheduler.submit(jobs_for(("itp",))).collect()
+        assert len(again) == len(jobs)
+        scheduler.close()
+
     def test_late_submission_attaches_to_settled_cells(self, tmp_path):
         scheduler = Scheduler(
             SchedulerConfig.from_knobs(1, False), cache=ResultCache(tmp_path)

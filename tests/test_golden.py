@@ -14,8 +14,7 @@ import pytest
 
 from repro.common.params import TABLE1, scaled_config
 from repro.common.recency import NaiveRecencyStack
-from repro.core.multicore import simulate_multicore
-from repro.core.simulator import simulate, simulate_smt
+from repro.core.simulator import simulate, simulate_multicore, simulate_smt
 from repro.replacement.lru import LRUPolicy
 from repro.tlb.policies.lru import TLBLRUPolicy
 from repro.workloads.server import ServerWorkload

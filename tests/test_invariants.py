@@ -76,6 +76,7 @@ class TestCheckedRecencyStack:
         assert 2 in stack
         assert stack.mru_way == 1
         assert list(stack.ways_from_lru())[0] == stack.lru_way
+        assert list(stack) == [1, 0, 2]
         stack.remove(2)
         stack.discard(2)  # discard of absent way is a no-op
         assert stack.depth_from_mru(stack.mru_way) == 0

@@ -17,8 +17,7 @@ import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.common.params import scaled_config
-from repro.core.multicore import simulate_multicore
-from repro.core.simulator import Session, simulate, simulate_smt
+from repro.core.simulator import Session, simulate, simulate_multicore, simulate_smt
 from repro.experiments.runner import config_for
 from repro.fabric import ParallelRunner, single
 from repro.kernel import ENGINES

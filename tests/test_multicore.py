@@ -3,8 +3,7 @@
 import pytest
 
 from repro.common.params import scaled_config
-from repro.core.multicore import simulate_multicore
-from repro.core.simulator import simulate
+from repro.core.simulator import simulate, simulate_multicore
 from repro.core.system import System
 from repro.workloads.server import ServerWorkload
 from repro.workloads.speclike import SpecLikeWorkload

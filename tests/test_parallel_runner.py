@@ -27,6 +27,7 @@ from repro.fabric import (
     workload_fingerprint,
 )
 from repro.fabric import execute_cell as _execute
+from repro.fabric import scheduler as fabric_scheduler
 from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.faults import plan as fault_plan_mod
 from repro.workloads.server import ServerWorkload
@@ -408,6 +409,28 @@ class TestRetriesAndFaults:
         assert any("InjectedWorkerCrash" in e for e in report.cells[0].events)
         assert report.cells[1].attempts == 1
         assert report.ok
+
+    def test_backoff_doubles_per_attempt_with_deterministic_jitter(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr(fabric_scheduler.time, "sleep", delays.append)
+        job = SimJob(scaled_config(), (BoomWorkload("bad", 2),), WARMUP, MEASURE, label="lru")
+
+        def schedule():
+            delays.clear()
+            runner = ParallelRunner(workers=1, policy=CONTINUE, max_retries=2,
+                                    backoff_base=0.25)
+            with pytest.raises(MatrixError):
+                runner.run([job])
+            assert runner.last_report.cells[0].attempts == 3
+            return list(delays)
+
+        first = schedule()
+        assert len(first) == 2
+        for attempt, delay in enumerate(first, start=1):
+            jitter = delay / (0.25 * 2 ** (attempt - 1))
+            assert 0.5 <= jitter < 1.0
+        assert first[0] != first[1] / 2  # each attempt draws its own jitter
+        assert schedule() == first
 
     def test_exhausted_retries_fail_fast_names_cell(self):
         plan = FaultPlan([FaultSpec("worker.crash", match="lru x w0")])

@@ -3,18 +3,16 @@
 Covers the engine-choice rule (:func:`repro.kernel.engine_for`) at every
 place a multi-stream run can ask for an engine — the drivers, ``SimJob``,
 ``job_key`` and the comparison CLI — plus the session's phase contract and
-the benchmark harness's cell, which runs through the same session.
+a record-bounded measure cell on either engine.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.bench import bench_cell
 from repro.cli import main as cli_main
 from repro.common.params import scaled_config
-from repro.core.multicore import simulate_multicore
-from repro.core.simulator import Session, is_smt_run, simulate, simulate_smt
+from repro.core.simulator import Session, is_smt_run, simulate, simulate_multicore, simulate_smt
 from repro.experiments.runner import config_for
 from repro.fabric import SimJob, job_key
 from repro.kernel import ENGINE_ENV, BatchedEngine, ScalarEngine, engine_for
@@ -179,11 +177,20 @@ class TestSession:
 
 
 class TestBenchCell:
+    """A record-bounded measure window, run the same on either engine."""
+
     WARMUP, MEASURE = 600, 2_400
 
     def _cell(self, engine):
-        return bench_cell("itp+xptp", small(6), self.WARMUP, self.MEASURE,
-                          engine=engine)
+        session = Session(config_for("itp+xptp"), [small(6)], engine=engine)
+        session.warmup(records=self.WARMUP)
+        cycles = session.measure(records=self.MEASURE)
+        stats = session.system.stats
+        cell = {"engine": session.engine_name, "instructions": stats.instructions,
+                "cycles": cycles, "ipc": stats.ipc}
+        if session.engine_name == "batched":
+            cell["fast_path_coverage"] = session.engine.fast_path_coverage
+        return cell
 
     def test_engines_agree(self):
         spec, batched = self._cell("spec"), self._cell("batched")

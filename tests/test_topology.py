@@ -6,8 +6,7 @@ import dataclasses
 import pytest
 
 from repro.common.params import scaled_config
-from repro.core.multicore import simulate_multicore
-from repro.core.simulator import Session, simulate
+from repro.core.simulator import Session, simulate, simulate_multicore
 from repro.core.system import System
 from repro.experiments.runner import POLICY_MATRIX, config_for
 from repro.fabric import job_key, single

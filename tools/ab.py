@@ -14,18 +14,32 @@ For every end-to-end metric in ``BENCHMARK.json`` it reports each side's
 median and quartiles, the median of the per-pair ratios ``B / A``, a 95%
 percentile bootstrap interval of that median (2,000 resamples, fixed
 seed) and how many pairs each side won ("better" comes from
-``BENCHMARK.json``; ties count for neither side).  The exit status is 1
-if any run fails or reports ``"correct": false``, or if the two
-revisions print different ``stats digest`` lines: a speed comparison of
-two programs that compute different results means nothing.
+``BENCHMARK.json``; ties count for neither side).
 
 Next to the wall times it reports Python calls per record: for each
 compared workload, one fixed seed-0 ``lru`` cell per engine (figure
 windows) runs once a side, in a fresh interpreter on that side's ``src``,
 under cProfile for the measure window only; the count is every call the
 profiler recorded divided by ``engine.total_records`` (lock-step rounds
-for the SMT mix).  The count is deterministic, so when both revisions are
-the same commit a mismatch is a problem too (exit status 1).
+for the SMT mix).  When ``server_fig08`` is compared it also times the
+head's ``srv_00`` ``lru`` measure window, unprofiled, on each engine.
+
+The exit status is 1 when any of these problems is found:
+
+* a run fails, reports ``"correct": false`` or prints no digest;
+* the two revisions print different ``stats digest`` lines: a speed
+  comparison of two programs that compute different results means
+  nothing, so a change that moves results on purpose fails here too;
+* a profiled cell fails, or (both sides one commit) its deterministic
+  calls per record differ;
+* **wall rule:** an end-to-end metric's whole 95% interval of ``B / A``
+  lies on the worse side of ``1 ± bound``, the metric's bound in
+  ``BENCHMARK.json`` (with 3 pairs the interval is the pairs' [min,
+  max], so every pair must show the regression);
+* **calls rule:** a profiled cell's calls per record at head exceed base
+  by more than the ``sim_ips`` bound;
+* **engine floor:** the best of 3 spec walls over the best of 3 batched
+  walls (alternating runs) is below ``ENGINE_FLOOR``.
 
 The tool only calls perfbench and the simulator's public ``Session``; it
 changes nothing in either checkout.
@@ -54,6 +68,13 @@ METRICS = tuple(BENCHMARK["end_to_end"])
 RESAMPLES = 2_000
 BOOTSTRAP_SEED = 20_250_301
 DIGEST_LINE = re.compile(r"^\S+\s+stats digest\s+(\S+)\s*$")
+BOUNDS = {m["name"]: m["bound"] for m in METRICS}
+
+#: The batched engine must run the ``srv_00`` measure window at least this
+#: many times faster than the spec engine, best run against best run.
+ENGINE_FLOOR = 1.05
+#: Timed runs per engine for the engine floor.
+FLOOR_RUNS = 3
 
 #: The cells profiled for calls per record: ``(cell, engine)`` pairs per
 #: benchmark workload.
@@ -64,33 +85,40 @@ PROFILE_CELLS = {
 }
 
 #: Run with ``python -c`` on one side's ``src``; argv[1] is a cell name
-#: from ``PROFILE_CELLS`` and argv[2] an engine.  Prints ``[calls,
-#: total_records]`` for the cell's measure window.  ``calls`` sums the
-#: profiler's raw entries: ``pstats.Stats.total_calls`` keys functions by
-#: ``(file, line, name)`` and keeps one of any that share it (every
-#: dataclass-generated ``__init__`` is ``<string>:2``), so it drops counts,
-#: and which ones it drops can change with an unrelated edit.
+#: from ``PROFILE_CELLS``, argv[2] an engine and argv[3] a mode.  Mode
+#: ``calls`` prints ``[calls, total_records]`` for the cell's measure
+#: window under cProfile; ``calls`` sums the profiler's raw entries:
+#: ``pstats.Stats.total_calls`` keys functions by ``(file, line, name)``
+#: and keeps one of any that share it (every dataclass-generated
+#: ``__init__`` is ``<string>:2``), so it drops counts, and which ones it
+#: drops can change with an unrelated edit.  Mode ``wall`` prints the
+#: measure window's unprofiled wall seconds.
 PROFILE_SCRIPT = """
-import cProfile, json, sys
+import cProfile, json, sys, time
 from repro.core.simulator import Session
 from repro.experiments.runner import MEASURE, WARMUP, config_for
 from repro.workloads.mixes import smt_mixes
 from repro.workloads.server import server_suite
 from repro.workloads.speclike import spec_suite
 
-name, engine = sys.argv[1:3]
+name, engine, mode = sys.argv[1:4]
 workloads = {"srv_00": server_suite(1), "spec_00": spec_suite(1),
              "intense_0": list(smt_mixes(1)[0].workloads)}[name]
 residual = 0.25 if len(workloads) == 2 else None
 session = Session(config_for("lru"), workloads, engine=engine,
                   overlap_residual=residual)
 session.warmup(WARMUP)
-profiler = cProfile.Profile()
-profiler.enable()
-session.measure(MEASURE)
-profiler.disable()
-calls = sum(entry.callcount for entry in profiler.getstats())
-print(json.dumps([calls, session.engine.total_records]))
+if mode == "wall":
+    start = time.perf_counter()
+    session.measure(MEASURE)
+    print(json.dumps(time.perf_counter() - start))
+else:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    session.measure(MEASURE)
+    profiler.disable()
+    calls = sum(entry.callcount for entry in profiler.getstats())
+    print(json.dumps([calls, session.engine.total_records]))
 """
 
 
@@ -142,14 +170,50 @@ def calls_per_record(total_calls: int, records: int) -> float:
 def call_count_problems(calls: Dict[str, Dict[str, Optional[float]]],
                         same_commit: bool) -> List[str]:
     """Problems in ``{cell: {"base": x, "head": y}}`` calls per record: a
-    failed profile, or (both sides one commit) counts that differ."""
+    failed profile, counts that differ when both sides are one commit, or
+    (the calls rule) head above base by more than the ``sim_ips`` bound."""
+    budget = BOUNDS["sim_ips"]
     problems = []
     for cell, sides in calls.items():
-        if None in sides.values():
+        base, head = sides["base"], sides["head"]
+        if base is None or head is None:
             problems.append(f"{cell}: profiling failed")
-        elif same_commit and sides["base"] != sides["head"]:
+        elif same_commit and base != head:
             problems.append(f"{cell}: calls per record differ on one commit: {sides}")
+        elif head > base * (1 + budget):
+            problems.append(f"{cell}: calls per record rose {head / base:.4f}x "
+                            f"({base:.2f} -> {head:.2f}), over the {budget:g} budget")
     return problems
+
+
+def wall_problems(workload: str, metrics: Dict[str, Dict]) -> List[str]:
+    """The wall rule: metrics whose whole ratio interval lies beyond their
+    ``BENCHMARK.json`` bound on the worse side of 1."""
+    problems = []
+    for name, s in metrics.items():
+        lo, hi = s["ratio_ci95"]
+        bound = BOUNDS[name]
+        if hi < 1 - bound if s["better"] == "higher" else lo > 1 + bound:
+            problems.append(f"{workload} {name}: B/A interval [{lo:.4f}, {hi:.4f}] "
+                            f"is past its {bound:g} bound")
+    return problems
+
+
+def engine_speedup(walls: Dict[str, List[Optional[float]]]) -> Optional[float]:
+    """Best spec wall over best batched wall; ``None`` if a run failed."""
+    if None in walls["spec"] + walls["batched"]:
+        return None
+    return min(walls["spec"]) / min(walls["batched"])
+
+
+def engine_floor_problems(speedup: Optional[float]) -> List[str]:
+    """The engine floor: the batched engine must beat spec by ``ENGINE_FLOOR``."""
+    if speedup is None:
+        return ["srv_00 engine floor: a timed run failed"]
+    if speedup < ENGINE_FLOOR:
+        return [f"srv_00 engine floor: batched runs {speedup:.3f}x spec, "
+                f"below {ENGINE_FLOOR:g}x"]
+    return []
 
 
 def summarize(base: Sequence[float], head: Sequence[float], better: str) -> Dict:
@@ -199,15 +263,22 @@ def run_perfbench(tree: Path, workload: str, seed: int,
         return {"correct": False}, None
 
 
-def profile_cell(tree: Path, workload: str, engine: str) -> Optional[float]:
-    """Calls per record of one cell, profiled in a fresh interpreter."""
+def run_cell(tree: Path, cell: str, engine: str, mode: str):
+    """``PROFILE_SCRIPT``'s output for one cell, in a fresh interpreter;
+    ``None`` if it failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-c", PROFILE_SCRIPT, workload, engine],
+    proc = subprocess.run([sys.executable, "-c", PROFILE_SCRIPT, cell, engine, mode],
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return None
-    return calls_per_record(*json.loads(proc.stdout.strip().splitlines()[-1]))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def profile_cell(tree: Path, cell: str, engine: str) -> Optional[float]:
+    """Calls per record of one cell, profiled in a fresh interpreter."""
+    out = run_cell(tree, cell, engine, "calls")
+    return None if out is None else calls_per_record(*out)
 
 
 def profile(trees: Dict[str, Path], workloads: Sequence[str]) -> Dict[str, Dict]:
@@ -220,6 +291,16 @@ def profile(trees: Dict[str, Path], workloads: Sequence[str]) -> Dict[str, Dict]
             calls[workload][f"{cell}/{engine}"] = sides
             print(f"[ab] calls/record {cell}/{engine}: {sides}", file=sys.stderr, flush=True)
     return calls
+
+
+def time_engines(tree: Path) -> Dict[str, List[Optional[float]]]:
+    """``srv_00`` measure-window walls per engine, runs alternating."""
+    walls: Dict[str, List[Optional[float]]] = {"spec": [], "batched": []}
+    for _ in range(FLOOR_RUNS):
+        for engine, runs in walls.items():
+            runs.append(run_cell(tree, "srv_00", engine, "wall"))
+    print(f"[ab] srv_00 head walls: {walls}", file=sys.stderr, flush=True)
+    return walls
 
 
 def git(*args: str) -> str:
@@ -276,6 +357,7 @@ def compare(trees: Dict[str, Path], workloads: Sequence[str], pairs: int,
                 for m in METRICS
             } if complete else {},
         }
+        problems.extend(wall_problems(workload, summary[workload]["metrics"]))
     return summary, problems
 
 
@@ -296,6 +378,10 @@ def print_table(summary: Dict) -> None:
                 continue
             print(f"{workload:14s} {'calls/rec':12s} A {base:<30.2f} B {head:<30.2f} "
                   f"B/A {head / base:.4f}  {cell}")
+        floor = entry.get("engine_floor")
+        if floor and floor["speedup"] is not None:
+            print(f"{workload:14s} {'engines':12s} srv_00 batched/spec "
+                  f"{floor['speedup']:.3f}x at head (floor {ENGINE_FLOOR:g}x)")
 
 
 def main(argv: Sequence[str]) -> int:
@@ -322,6 +408,7 @@ def main(argv: Sequence[str]) -> int:
             git("worktree", "add", "--detach", str(trees[side]), sha)
         summary, problems = compare(trees, workloads, args.pairs, args.seed, args.seconds)
         calls = profile(trees, workloads)
+        walls = time_engines(trees["head"]) if "server_fig08" in workloads else None
     finally:
         for tree in trees.values():
             if tree.exists():
@@ -333,6 +420,10 @@ def main(argv: Sequence[str]) -> int:
     for workload, cells in calls.items():
         summary[workload]["calls_per_record"] = cells
         problems.extend(call_count_problems(cells, same_commit))
+    if walls is not None:
+        speedup = engine_speedup(walls)
+        summary["server_fig08"]["engine_floor"] = {**walls, "speedup": speedup}
+        problems.extend(engine_floor_problems(speedup))
     print_table(summary)
     if args.output:
         args.output.parent.mkdir(parents=True, exist_ok=True)
