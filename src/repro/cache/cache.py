@@ -25,6 +25,7 @@ from ..common.stats import LevelStats
 from ..common.types import AccessType, MemoryRequest, RequestType
 from ..replacement.base import CacheReplacementPolicy
 from ..replacement.drrip import DRRIPPolicy
+from ..replacement.lru import LRUPolicy
 from .line import CacheLine
 from .mshr import make_mshr_file
 
@@ -97,6 +98,19 @@ class SetAssociativeCache:
         self._on_fill = policy.on_fill
         self._victim = policy.victim
         self._on_evict = policy.on_evict
+        # A policy that keeps LRU's own recency hooks has its stacks moved
+        # here directly: a hit touches, a fill places at MRU (the eviction's
+        # discard is folded into that placement), and when the victim is
+        # LRU's own too it is read off the stack.  A subclass overriding
+        # any hook keeps it; xPTP and PTP keep their victim choice.
+        cls = type(policy)
+        fused = (
+            cls.on_hit is LRUPolicy.on_hit
+            and cls.on_fill is LRUPolicy.on_fill
+            and cls.on_evict is LRUPolicy.on_evict
+        )
+        self._stacks = policy.stacks if fused else None
+        self._lru_victim = fused and cls.victim is LRUPolicy.victim
         self._pf_on_access = prefetcher.on_access if prefetcher is not None else None
         # Reusable request objects for traffic this level originates (see
         # module docstring for the safety argument).
@@ -141,11 +155,20 @@ class SetAssociativeCache:
         if req_type is _WRITEBACK:
             self._handle_writeback(req)
             return 0
-        if req_type is _PREFETCH:
-            return self._access_prefetch(req)
         line_address = req.address >> self.line_shift
         set_index = line_address & self._set_mask
         tag = line_address >> self._set_shift
+        if req_type is _PREFETCH:
+            # Prefetch-through: the block is fetched for the requesting
+            # level but not allocated here, so upper-level prefetch streams
+            # (FDIP, L1D next-line) do not pollute the L2C/LLC.  A level
+            # allocates only the prefetches its *own* prefetcher issues
+            # (via :meth:`prefetch`).  Prefetch traffic is counted apart so
+            # demand MPKI figures match the paper's accounting.
+            self.stats.prefetch_requests += 1
+            if tag not in self._tag_maps[set_index]:
+                self._next_access(req)
+            return self._latency
         way = self._tag_maps[set_index].get(tag)
         if req.is_pte:
             category = "dt" if req.translation_type is _DATA else "it"
@@ -166,7 +189,11 @@ class SetAssociativeCache:
             if line.prefetched:
                 line.prefetched = False
                 stats.prefetch_hits += 1
-            self._on_hit(set_index, way, lines, req)
+            stacks = self._stacks
+            if stacks is not None:
+                stacks[set_index].touch(way)
+            else:
+                self._on_hit(set_index, way, lines, req)
             stats.accesses += 1
             stats.hits += 1
             stats.cat_accesses[category] += 1
@@ -194,40 +221,44 @@ class SetAssociativeCache:
             pf(self, req, hit=False)
         return latency
 
-    def _access_prefetch(self, req: MemoryRequest) -> int:
-        """Serve a prefetch issued by an upper level.
+    # ------------------------------------------------------------------ #
+    # Fill (the one allocation step: demand miss, prefetch, writeback)
+    # ------------------------------------------------------------------ #
 
-        Prefetch-through: the block is fetched for the requesting level but
-        not allocated here, so upper-level prefetch streams (FDIP, L1D
-        next-line) do not pollute the L2C/LLC.  A level allocates only the
-        prefetches its *own* prefetcher issues (via :meth:`prefetch`).
-        Prefetch traffic is tracked separately so demand MPKI figures match
-        the paper's accounting.
+    def _fill(self, set_index: int, tag: int, req: MemoryRequest, mshr_entry) -> CacheLine:
+        """Install ``tag`` in ``set_index`` and return its line.
+
+        Takes the first invalid way, else evicts the victim inline (stats,
+        tag map, dirty writeback); every line field the old block held is
+        then overwritten, so the victim needs no separate reset.
         """
-        line_address = req.address >> self.line_shift
-        set_index = line_address & self._set_mask
-        tag = line_address >> self._set_shift
-        self.stats.prefetch_requests += 1
-        if tag in self._tag_maps[set_index]:
-            return self._latency
-        self._next_access(req)
-        return self._latency
-
-    # ------------------------------------------------------------------ #
-    # Fill / evict
-    # ------------------------------------------------------------------ #
-
-    def _fill(self, set_index: int, tag: int, req: MemoryRequest, mshr_entry) -> None:
         lines = self.sets[set_index]
         tag_map = self._tag_maps[set_index]
+        stacks = self._stacks
         if len(tag_map) < self.associativity:
-            way = self._find_invalid_way(lines)
+            # The tag map holds exactly the valid ways, so one is invalid.
+            way = 0
+            while lines[way].valid:
+                way += 1
+            line = lines[way]
         else:
-            way = None
-        if way is None:
-            way = self._victim(set_index, lines, req)
-            self._evict(set_index, way)
-        line = lines[way]
+            if self._lru_victim:
+                way = stacks[set_index].lru_way
+            else:
+                way = self._victim(set_index, lines, req)
+            line = lines[way]
+            stats = self.stats
+            stats.evictions += 1
+            if stacks is None:
+                self._on_evict(set_index, way, lines)
+            del tag_map[line.tag]
+            if line.dirty:
+                stats.writebacks += 1
+                wb = self._wb_req
+                wb.address = ((line.tag << self._set_shift) + set_index) << self.line_shift
+                wb.is_pte = line.is_pte
+                wb.translation_type = line.translation_type
+                self._next_access(wb)
         line.valid = True
         line.tag = tag
         line.dirty = req.req_type is _STORE
@@ -241,31 +272,11 @@ class SetAssociativeCache:
             line.is_pte = req.is_pte
             line.translation_type = req.translation_type if req.is_pte else None
         tag_map[tag] = way
-        self._on_fill(set_index, way, lines, req)
-
-    def _find_invalid_way(self, lines: List[CacheLine]) -> Optional[int]:
-        for way, line in enumerate(lines):
-            if not line.valid:
-                return way
-        return None
-
-    def _evict(self, set_index: int, way: int) -> None:
-        lines = self.sets[set_index]
-        line = lines[way]
-        if not line.valid:
-            return
-        self.stats.evictions += 1
-        self._on_evict(set_index, way, lines)
-        del self._tag_maps[set_index][line.tag]
-        if line.dirty:
-            self.stats.writebacks += 1
-            victim_line_address = (line.tag << self._set_shift) + set_index
-            wb = self._wb_req
-            wb.address = victim_line_address << self.line_shift
-            wb.is_pte = line.is_pte
-            wb.translation_type = line.translation_type
-            self._next_access(wb)
-        line.invalidate()
+        if stacks is not None:
+            stacks[set_index].place_at_depth(way, 0)
+        else:
+            self._on_fill(set_index, way, lines, req)
+        return line
 
     def _handle_writeback(self, req: MemoryRequest) -> None:
         """Absorb a writeback from the level above (write-allocate)."""
@@ -278,9 +289,8 @@ class SetAssociativeCache:
             line.dirty = True
             self._strengthen_type(line, req)
             return
-        self._fill(set_index, tag, req, None)
-        # _fill marked dirty only for STORE; writebacks are dirty by definition.
-        self.sets[set_index][self._tag_maps[set_index][tag]].dirty = True
+        # _fill marks dirty only for STORE; writebacks are dirty by definition.
+        self._fill(set_index, tag, req, None).dirty = True
 
     @staticmethod
     def _strengthen_type(line: CacheLine, req: MemoryRequest) -> None:

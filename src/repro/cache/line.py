@@ -36,10 +36,3 @@ class CacheLine:
     @property
     def is_instr_pte(self) -> bool:
         return self.is_pte and self.translation_type is AccessType.INSTRUCTION
-
-    def invalidate(self) -> None:
-        self.valid = False
-        self.dirty = False
-        self.is_pte = False
-        self.translation_type = None
-        self.prefetched = False

@@ -87,8 +87,8 @@ class Core:
         req.req_type = _STORE if is_store else _LOAD
         req.pc = pc
         req.stlb_miss = tr.stlb_miss
-        cache_latency = self._l1d_access(req)
-        total = tr.latency + max(0, cache_latency - self._l1d_latency)
+        extra = self._l1d_access(req) - self._l1d_latency
+        total = tr.latency + extra if extra > 0 else tr.latency
         exposed = total - self._rob_hide_cycles
         if exposed <= 0:
             return 0.0
@@ -110,8 +110,8 @@ class Core:
         req.address = (tr.pfn << PAGE_BITS) | (pc & self._offset_mask)
         req.pc = pc
         req.stlb_miss = tr.stlb_miss
-        icache_latency = self._l1i_access(req)
-        icache_stall = max(0, icache_latency - self._l1i_latency) * self._fdip_keep
+        icache_extra = self._l1i_access(req) - self._l1i_latency
+        icache_stall = icache_extra * self._fdip_keep if icache_extra > 0 else 0.0
         front_stall = tr.latency + icache_stall
         if tr.stlb_miss:
             front_stall += self._fetch_resteer_penalty

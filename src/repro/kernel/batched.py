@@ -595,8 +595,8 @@ class BatchedEngine:
                 acc_ci += 1
                 if issue_i:
                     # FDIP issues: each absent window target is brought in
-                    # by the hand-inlined ``prefetch`` → ``_access_prefetch``
-                    # chain (see the module docstring).
+                    # by a hand-inlined ``prefetch`` → ``access`` prefetch-
+                    # through chain (see the module docstring).
                     if is_seq:
                         tend = la + fdip_depth
                         t = tend if seq_clean else la + 1
@@ -640,8 +640,8 @@ class BatchedEngine:
                             if (t >> llc_sshift) not in llc_tm[t & llc_smask]:
                                 dram_n += 1
                                 dram._window_accesses += 1
-                        # L1I fill (LRU pinned): overwrites every field the
-                        # eviction's invalidate() would have reset.
+                        # L1I fill (LRU pinned): overwrites every line field,
+                        # as ``SetAssociativeCache._fill`` does.
                         vline.valid = True
                         vline.tag = tag
                         vline.dirty = False

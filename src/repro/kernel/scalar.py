@@ -8,36 +8,24 @@ the longer record hides all but ``overlap_residual`` of the shorter one.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..common.stats import SimStats
 
 _NO_LIMIT = float("inf")
 
 
-def _step(core, stream: Iterator) -> Callable[[], float]:
-    execute = core.execute
-    advance = stream.__next__
-    return lambda: execute(advance())
-
-
 class ScalarEngine:
     """Runs lanes in lock-step rounds; ``total_records`` counts rounds."""
 
-    __slots__ = ("total_records", "_stats", "_lanes")
+    __slots__ = ("total_records", "_stats", "_lanes", "_overlap_residual")
 
     def __init__(self, stats: SimStats, cores: Sequence, streams: Sequence[Iterator],
                  overlap_residual: Optional[float] = None) -> None:
         self._stats = stats
-        self._lanes = tuple(_step(c, s) for c, s in zip(cores, streams))
-        if overlap_residual is not None:
-            first, second = self._lanes
-
-            def smt() -> float:
-                c0, c1 = first(), second()
-                return max(c0, c1) + overlap_residual * min(c0, c1)
-
-            self._lanes = (smt,)
+        #: ``(execute, advance)`` per lane, called directly in ``_run``.
+        self._lanes = tuple((c.execute, s.__next__) for c, s in zip(cores, streams))
+        self._overlap_residual = overlap_residual
         self.total_records = 0
 
     def reset_stats(self) -> None:
@@ -53,12 +41,27 @@ class ScalarEngine:
 
     def _run(self, instruction_limit: float, rounds: float) -> float:
         stats = self._stats
+        done = 0
+        residual = self._overlap_residual
+        if residual is not None:
+            (execute0, advance0), (execute1, advance1) = self._lanes
+            clock = 0.0
+            while done < rounds and stats.instructions < instruction_limit:
+                c0 = execute0(advance0())
+                c1 = execute1(advance1())
+                # max(c0, c1) + residual * min(c0, c1), ties to thread 0.
+                if c0 < c1:
+                    clock += c1 + residual * c0
+                else:
+                    clock += c0 + residual * c1
+                done += 1
+            self.total_records += done
+            return clock
         lanes = tuple(enumerate(self._lanes))
         clocks = [0.0] * len(lanes)
-        done = 0
         while done < rounds and stats.instructions < instruction_limit:
-            for index, step in lanes:
-                clocks[index] += step()
+            for index, (execute, advance) in lanes:
+                clocks[index] += execute(advance())
             done += 1
         self.total_records += done
         return max(clocks)

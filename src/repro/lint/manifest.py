@@ -27,8 +27,6 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
             "SetAssociativeCache.access",
             "SetAssociativeCache._fill",
             "SetAssociativeCache._strengthen_type",
-            "SetAssociativeCache._access_prefetch",
-            "SetAssociativeCache._evict",
             "SetAssociativeCache._handle_writeback",
             "SetAssociativeCache.prefetch",
         }
@@ -46,7 +44,6 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         {"TLB.lookup", "TLB.insert", "TLB.record_miss", "TLB._evict"}
     ),
     "tlb/entry.py": frozenset({"TLBEntry.invalidate"}),
-    "cache/line.py": frozenset({"CacheLine.invalidate"}),
     "tlb/hierarchy.py": frozenset({"MMU.translate", "MMU._account_translation"}),
     "core/adaptive.py": frozenset({"AdaptiveXPTPController.on_instructions"}),
     "common/recency.py": frozenset(

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..common.types import MemoryRequest
+from ..common.types import AccessType, MemoryRequest
 from .lru import LRUPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cache.line import CacheLine
+
+
+_DATA = AccessType.DATA
 
 
 class XPTPPolicy(LRUPolicy):
@@ -48,11 +51,14 @@ class XPTPPolicy(LRUPolicy):
     def victim(self, set_index: int, lines: Sequence[CacheLine], req: MemoryRequest) -> int:
         stack = self.stacks[set_index]
         lru_way = stack.lru_way
-        if not self.enabled or not lines[lru_way].is_data_pte:
+        line = lines[lru_way]
+        # ``CacheLine.is_data_pte``, read field by field (no property call).
+        if not self.enabled or not (line.is_pte and line.translation_type is _DATA):
             # Fast path: the LRU block is not a protected data PTE anyway.
             return lru_way
         for height, way in enumerate(stack.ways_from_lru()):
-            if not lines[way].is_data_pte:
+            line = lines[way]
+            if not (line.is_pte and line.translation_type is _DATA):
                 if height > self.k:
                     # Step (c): alternative more than K above LRU — evict LRU.
                     return lru_way

@@ -14,6 +14,7 @@ from ..common.stats import LevelStats
 from ..common.types import AccessType, LARGE_PAGE_BITS, PAGE_BITS, PageSize
 from .entry import TLBEntry
 from .policies.base import TLBReplacementPolicy
+from .policies.lru import TLBLRUPolicy
 
 _INSTRUCTION = AccessType.INSTRUCTION
 _SIZE_4K = PageSize.SIZE_4K
@@ -50,6 +51,11 @@ class TLB:
         self._on_insert = policy.on_insert
         self._victim = policy.victim
         self._policy_on_evict = policy.on_evict
+        # A policy that keeps LRU's own hit hook has its recency stack
+        # touched here directly; iTP and CHiRP keep their promotion rules.
+        self._stacks = (
+            policy.stacks if type(policy).on_hit is TLBLRUPolicy.on_hit else None
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -86,7 +92,11 @@ class TLB:
             set_index = set_index2
         entries = self.sets[set_index]
         entry = entries[way]
-        self._on_hit(set_index, way, entries, access_type)
+        stacks = self._stacks
+        if stacks is not None:
+            stacks[set_index].touch(way)
+        else:
+            self._on_hit(set_index, way, entries, access_type)
         stats = self.stats
         stats.accesses += 1
         stats.hits += 1

@@ -483,4 +483,4 @@ class TestDriftCanary:
         drift = [d for d in diags if d.code == "RPR007"]
         assert any("stats:evictions" in d.message for d in drift)
         # The report names the spec-side witness and the call path to it.
-        assert any("SetAssociativeCache._evict" in d.message for d in drift)
+        assert any("SetAssociativeCache._fill" in d.message for d in drift)

@@ -17,8 +17,9 @@ seed) and how many pairs each side won ("better" comes from
 ``BENCHMARK.json``; ties count for neither side).
 
 Next to the wall times it reports Python calls per record: for each
-compared workload, one fixed seed-0 ``lru`` cell per engine (figure
-windows) runs once a side, in a fresh interpreter on that side's ``src``,
+compared workload, fixed seed-0 cells (figure windows; ``lru`` on each
+engine, and ``itp+xptp`` on the spec engine for the SMT mix) run once a
+side, in a fresh interpreter on that side's ``src``,
 under cProfile for the measure window only; the count is every call the
 profiler recorded divided by ``engine.total_records`` (lock-step rounds
 for the SMT mix).  When ``server_fig08`` is compared it also times the
@@ -76,16 +77,18 @@ ENGINE_FLOOR = 1.05
 #: Timed runs per engine for the engine floor.
 FLOOR_RUNS = 3
 
-#: The cells profiled for calls per record: ``(cell, engine)`` pairs per
-#: benchmark workload.
+#: The cells profiled for calls per record: ``(cell, engine, technique)``
+#: per benchmark workload.  ``smt_mix`` sweeps ``itp+xptp`` as well as
+#: ``lru``, so it profiles both (the xPTP victim and the iTP STLB hooks).
 PROFILE_CELLS = {
-    "server_fig08": (("srv_00", "spec"), ("srv_00", "batched")),
-    "speclike_hits": (("spec_00", "spec"), ("spec_00", "batched")),
-    "smt_mix": (("intense_0", "spec"),),
+    "server_fig08": (("srv_00", "spec", "lru"), ("srv_00", "batched", "lru")),
+    "speclike_hits": (("spec_00", "spec", "lru"), ("spec_00", "batched", "lru")),
+    "smt_mix": (("intense_0", "spec", "lru"), ("intense_0", "spec", "itp+xptp")),
 }
 
 #: Run with ``python -c`` on one side's ``src``; argv[1] is a cell name
-#: from ``PROFILE_CELLS``, argv[2] an engine and argv[3] a mode.  Mode
+#: from ``PROFILE_CELLS``, argv[2] an engine, argv[3] a technique and
+#: argv[4] a mode.  Mode
 #: ``calls`` prints ``[calls, total_records]`` for the cell's measure
 #: window under cProfile; ``calls`` sums the profiler's raw entries:
 #: ``pstats.Stats.total_calls`` keys functions by ``(file, line, name)``
@@ -101,11 +104,11 @@ from repro.workloads.mixes import smt_mixes
 from repro.workloads.server import server_suite
 from repro.workloads.speclike import spec_suite
 
-name, engine, mode = sys.argv[1:4]
+name, engine, technique, mode = sys.argv[1:5]
 workloads = {"srv_00": server_suite(1), "spec_00": spec_suite(1),
              "intense_0": list(smt_mixes(1)[0].workloads)}[name]
 residual = 0.25 if len(workloads) == 2 else None
-session = Session(config_for("lru"), workloads, engine=engine,
+session = Session(config_for(technique), workloads, engine=engine,
                   overlap_residual=residual)
 session.warmup(WARMUP)
 if mode == "wall":
@@ -263,11 +266,12 @@ def run_perfbench(tree: Path, workload: str, seed: int,
         return {"correct": False}, None
 
 
-def run_cell(tree: Path, cell: str, engine: str, mode: str):
+def run_cell(tree: Path, cell: str, engine: str, technique: str, mode: str):
     """``PROFILE_SCRIPT``'s output for one cell, in a fresh interpreter;
     ``None`` if it failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-c", PROFILE_SCRIPT, cell, engine, mode],
+    proc = subprocess.run([sys.executable, "-c", PROFILE_SCRIPT, cell, engine,
+                           technique, mode],
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -275,21 +279,23 @@ def run_cell(tree: Path, cell: str, engine: str, mode: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def profile_cell(tree: Path, cell: str, engine: str) -> Optional[float]:
+def profile_cell(tree: Path, cell: str, engine: str, technique: str) -> Optional[float]:
     """Calls per record of one cell, profiled in a fresh interpreter."""
-    out = run_cell(tree, cell, engine, "calls")
+    out = run_cell(tree, cell, engine, technique, "calls")
     return None if out is None else calls_per_record(*out)
 
 
 def profile(trees: Dict[str, Path], workloads: Sequence[str]) -> Dict[str, Dict]:
-    """``{workload: {"cell/engine": {side: calls per record}}}``."""
+    """``{workload: {"cell/engine/technique": {side: calls per record}}}``."""
     calls: Dict[str, Dict] = {}
     for workload in workloads:
         calls[workload] = {}
-        for cell, engine in PROFILE_CELLS[workload]:
-            sides = {side: profile_cell(trees[side], cell, engine) for side in trees}
-            calls[workload][f"{cell}/{engine}"] = sides
-            print(f"[ab] calls/record {cell}/{engine}: {sides}", file=sys.stderr, flush=True)
+        for cell, engine, technique in PROFILE_CELLS[workload]:
+            label = f"{cell}/{engine}/{technique}"
+            sides = {side: profile_cell(trees[side], cell, engine, technique)
+                     for side in trees}
+            calls[workload][label] = sides
+            print(f"[ab] calls/record {label}: {sides}", file=sys.stderr, flush=True)
     return calls
 
 
@@ -298,7 +304,7 @@ def time_engines(tree: Path) -> Dict[str, List[Optional[float]]]:
     walls: Dict[str, List[Optional[float]]] = {"spec": [], "batched": []}
     for _ in range(FLOOR_RUNS):
         for engine, runs in walls.items():
-            runs.append(run_cell(tree, "srv_00", engine, "wall"))
+            runs.append(run_cell(tree, "srv_00", engine, "lru", "wall"))
     print(f"[ab] srv_00 head walls: {walls}", file=sys.stderr, flush=True)
     return walls
 
