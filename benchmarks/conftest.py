@@ -1,9 +1,7 @@
 """Shared benchmark plumbing.
 
 Each benchmark regenerates one of the paper's figures.  A simulation sweep
-is expensive, so every bench runs exactly one round (``pedantic``), prints
-the reproduced rows/series, and attaches the headline numbers to the
-pytest-benchmark record via ``extra_info``.
+is expensive, so every bench runs exactly one round (``pedantic``).
 
 The sweeps fan out over the parallel runner: ``--repro-workers N`` (or
 ``auto`` for every core; default 1, keeping the timed region serial and
@@ -16,8 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import FigureResult, format_figure
-from repro.fabric import ParallelRunner, set_default_runner
+from repro.fabric import ParallelRunner
 
 
 def pytest_addoption(parser):
@@ -32,29 +29,12 @@ def pytest_addoption(parser):
     )
 
 
-@pytest.fixture(autouse=True)
-def _repro_default_runner(request):
-    """Install the benchmark-selected runner as the process default."""
+@pytest.fixture
+def repro_runner(request):
+    """The benchmark-selected runner."""
     workers = request.config.getoption("--repro-workers")
-    runner = ParallelRunner(
+    return ParallelRunner(
         workers=workers if workers == "auto" else int(workers),
         cache_dir=request.config.getoption("--repro-cache-dir"),
         progress=True,
     )
-    previous = set_default_runner(runner)
-    yield runner
-    set_default_runner(previous)
-
-
-def run_figure(benchmark, runner, label=None, **kwargs):
-    """Run a figure driver once under pytest-benchmark and print its table."""
-    results = benchmark.pedantic(lambda: runner(**kwargs), rounds=1, iterations=1)
-    if isinstance(results, FigureResult):
-        results = [results]
-    for figure in results:
-        print()
-        print(format_figure(figure))
-        benchmark.extra_info[figure.figure] = figure.as_dicts()
-    if label:
-        benchmark.extra_info["label"] = label
-    return results

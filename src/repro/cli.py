@@ -18,7 +18,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List
 
@@ -94,6 +93,68 @@ def make_workload(kind: str, seed: int):
     raise ValueError(f"unknown workload kind {kind!r}; choose from {WORKLOAD_KINDS}")
 
 
+def _worker_count(value: str):
+    if value == "auto":
+        return value
+    if not value.isdigit():
+        raise argparse.ArgumentTypeError(f"takes a count or 'auto', got {value!r}")
+    return int(value)
+
+
+def _count(value: str) -> int:
+    if not value.isdigit():
+        raise argparse.ArgumentTypeError(f"takes a count, got {value!r}")
+    return int(value)
+
+
+def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the flags :func:`runner_from_args` reads: where and how cells run."""
+    parser.add_argument(
+        "--workers", type=_worker_count, default="auto", metavar="N",
+        help="worker processes: a count or 'auto' for every core (default: auto)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="reuse simulation results cached under DIR (created if missing)",
+    )
+    parser.add_argument(
+        "--failure-policy", choices=FAILURE_POLICIES, default=None,
+        help="fail-fast (default) aborts on the first failed cell; "
+             "continue finishes the matrix and reports the failures",
+    )
+    parser.add_argument(
+        "--max-retries", type=_count, default=None, metavar="N",
+        help="re-run a failed or timed-out cell up to N times (default 0)",
+    )
+    parser.add_argument(
+        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-cell wall-clock limit; over-budget cells are cancelled "
+             "and retried (default: none)",
+    )
+    parser.add_argument(
+        "--topology", default=None, metavar="NAME",
+        help="machine graph preset (default: the Table 1 hierarchy); "
+             f"one of: {', '.join(PRESET_NAMES)}",
+    )
+
+
+def runner_from_args(args: argparse.Namespace) -> ParallelRunner:
+    """The progress-reporting runner the :func:`add_runner_arguments` flags ask for.
+
+    Raises :class:`TopologyError` for an unknown ``--topology`` (before
+    any simulation runs) and :class:`ConfigurationError` for a bad knob.
+    """
+    resolve_topology(args.topology, scaled_config())
+    return ParallelRunner(
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        progress=True,
+        policy=args.failure_policy,
+        max_retries=args.max_retries,
+        timeout=args.cell_timeout,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-compare",
@@ -104,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TECH", help=f"techniques from Table 2: {', '.join(POLICY_MATRIX)}",
     )
     parser.add_argument("--workload", choices=WORKLOAD_KINDS, default="server")
-    parser.add_argument(
-        "--topology", default=None, metavar="NAME",
-        help="machine graph preset (default: the Table 1 hierarchy); "
-             f"one of: {', '.join(PRESET_NAMES)}",
-    )
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="execution engine (default: REPRO_ENGINE, then 'spec'); both "
@@ -122,28 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="percent of the footprint on 2MB pages (Section 6.5)",
     )
     parser.add_argument("--energy", action="store_true", help="include pJ/instruction")
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the technique sweep (default: all cores)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="reuse simulation results cached under DIR (created if missing)",
-    )
-    parser.add_argument(
-        "--failure-policy", choices=FAILURE_POLICIES, default=None,
-        help="fail-fast (default) aborts on the first failed cell; "
-             "continue finishes the matrix and reports the failures",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="re-run a failed or timed-out cell up to N times (default 0)",
-    )
-    parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock limit; over-budget cells are cancelled "
-             "and retried (default: none)",
-    )
+    add_runner_arguments(parser)
     parser.add_argument("--list", action="store_true", help="list techniques and exit")
     parser.add_argument("--describe", action="store_true",
                         help="print the simulated system configuration and exit")
@@ -172,10 +207,11 @@ def main(argv: List[str] = None) -> int:
         return 2
 
     try:
-        spec = resolve_topology(args.topology, scaled_config())
-    except TopologyError as exc:
+        runner = runner_from_args(args)
+    except (ConfigurationError, TopologyError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    spec = resolve_topology(args.topology, scaled_config())
 
     try:
         # Argparse restricts --engine; this catches a bad REPRO_ENGINE value
@@ -198,18 +234,6 @@ def main(argv: List[str] = None) -> int:
     headers = ["technique", "ipc", "speedup_%"] + [h for h, _ in METRIC_COLUMNS]
     if args.energy:
         headers.append("pj_per_instr")
-    try:
-        runner = ParallelRunner(
-            workers=args.workers if args.workers is not None else os.cpu_count() or 1,
-            cache_dir=args.cache_dir,
-            progress=True,
-            policy=args.failure_policy,
-            max_retries=args.max_retries,
-            timeout=args.cell_timeout,
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     try:
         results = runner.run(
             SimJob(config_for(t), workloads, args.warmup, args.measure,

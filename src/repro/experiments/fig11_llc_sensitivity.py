@@ -9,28 +9,28 @@ smaller with Mockingjay.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..common.params import scaled_config
 from ..workloads.mixes import smt_mixes
 from ..workloads.server import server_suite
-from ..fabric import ParallelRunner
 from .reporting import FigureResult
-from .runner import MEASURE, WARMUP, compare_single_thread, compare_smt
+from .runner import MEASURE, WARMUP, Figure, Grid, Plan, Sweep, variants_for
 
 LLC_POLICIES = ("lru", "ship", "mockingjay")
 TECHNIQUES = ("lru", "itp", "itp+xptp")
 
 
-def run(
-    server_count: int = 4,
-    per_category: int = 1,
-    warmup: int = WARMUP,
-    measure: int = MEASURE,
-    llc_policies: Sequence[str] = LLC_POLICIES,
-    runner: Optional[ParallelRunner] = None,
-    topology: Optional[str] = None,
-) -> FigureResult:
+def plan(
+    server_count: int = 4, per_category: int = 1, warmup: int = WARMUP, measure: int = MEASURE
+) -> Plan:
+    sweeps = {}
+    for llc in LLC_POLICIES:
+        variants = variants_for(TECHNIQUES, scaled_config().with_policies(llc=llc))
+        sweeps["1T", llc] = Sweep(variants, server_suite(server_count))
+        sweeps["2T", llc] = Sweep(variants, smt_mixes(per_category))
+    return Plan(sweeps, warmup, measure)
+
+
+def reduce(grid: Grid) -> FigureResult:
     result = FigureResult(
         figure="Figure 11",
         description="iTP / iTP+xPTP geomean IPC improvement under different LLC policies",
@@ -39,18 +39,31 @@ def run(
             "paper (1T): iTP 2.2/2.3/1.4 and iTP+xPTP 18.9/15.8/1.6 for LRU/SHiP/Mockingjay",
         ],
     )
-    for llc in llc_policies:
-        base = scaled_config().with_policies(llc=llc)
-        single = compare_single_thread(
-            TECHNIQUES, server_suite(server_count), base, warmup, measure, runner=runner, topology=topology
-        )
-        smt = compare_smt(
-            TECHNIQUES, smt_mixes(per_category), base, warmup, measure, runner=runner, topology=topology
-        )
-        for scenario, comparison in (("1T", single), ("2T", smt)):
-            for technique in ("itp", "itp+xptp"):
-                result.add_row(
-                    scenario, llc, technique,
-                    comparison.geomean_improvement_percent(technique),
-                )
+    for (scenario, llc), comparison in grid.items():
+        for technique in TECHNIQUES[1:]:
+            result.add_row(
+                scenario, llc, technique, comparison.geomean_improvement_percent(technique)
+            )
     return result
+
+
+def claims(results):
+    one_t = {(r["llc_policy"], r["technique"]): r["geomean_ipc_improvement_pct"]
+             for r in results[0].as_dicts() if r["scenario"] == "1T"}
+    # Paper shape: iTP gains are consistent across LLC policies, and
+    # iTP+xPTP adds on top of iTP for every LLC policy.
+    llcs = ("lru", "ship", "mockingjay")
+    return {
+        "1T: iTP > -1% under every LLC policy": all(
+            one_t[(llc, "itp")] > -1.0 for llc in llcs
+        ),
+        "1T: iTP+xPTP >= iTP - 0.5 under every LLC policy": all(
+            one_t[(llc, "itp+xptp")] >= one_t[(llc, "itp")] - 0.5 for llc in llcs
+        ),
+    }
+
+
+FIGURE = Figure(
+    "fig11", plan, (reduce,), claims,
+    bench=dict(server_count=3, per_category=1, warmup=50_000, measure=150_000),
+)

@@ -117,3 +117,15 @@ class TestMain:
         args = build_parser().parse_args([])
         assert args.workload == "server"
         assert args.techniques == ["lru", "itp", "itp+xptp"]
+
+    def test_workers_auto(self, capsys):
+        # The runner flags are shared with ``python -m repro.experiments``,
+        # which has always taken ``auto``.
+        assert main(["--techniques", "lru", "--workers", "auto",
+                     "--warmup", "1000", "--measure", "4000"]) == 0
+
+    def test_workers_rejects_a_word(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", "many"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err

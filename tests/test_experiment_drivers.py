@@ -1,138 +1,183 @@
-"""Smoke tests for every figure driver, at miniature scale.
+"""Every registry figure at smoke scale, byte for byte.
 
-These keep the drivers covered by the fast suite so a broken driver is
-caught before the (slow) benchmark run.  Each test only checks structure
-and basic sanity, not the paper shapes — those are the benches' job.
+Each figure runs its full sweep values at smoke scale (one server and
+one SPEC workload, one SMT mix per category, 3k + 12k instructions) and
+every table it writes must equal the committed CSV under
+``tests/data/smoke/``.  The CSVs pin the reducers' arithmetic and row
+order, so a refactor of plans or reducers that changes any number fails
+here.  The paper's claims are checked at bench scale by ``benchmarks/``;
+here they only have to evaluate.  One module-scoped result cache lets
+figures that share cells (fig08, fig09, fig10, ...) simulate them once.
 """
 
+import dataclasses
+import functools
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.experiments import (
-    ablation_adaptive,
-    ablation_params,
-    ext_stlb_prefetch,
-    fig01_itlb_cost,
-    fig02_stlb_impki,
-    fig03_probabilistic,
-    fig04_mpki_breakdown,
-    fig08_main_comparison,
-    fig09_mpki_latency,
-    fig10_stlb_breakdown,
-    fig11_llc_sensitivity,
-    fig12_itlb_sensitivity,
-    fig13_large_pages,
-    fig14_split_stlb,
+import pytest
+
+from repro.experiments import FIGURES
+from repro.experiments.export import write_csv
+from repro.fabric import ParallelRunner, job_key
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).parent / "data"
+SMOKE = dict(
+    server_count=1, spec_count=1, per_category=1, warmup=3000, measure=12000,
+    phase_records=1000,
 )
-from repro.experiments.reporting import FigureResult, format_figure
-
-TINY = dict(warmup=3000, measure=12000)
 
 
-def check(result):
-    assert isinstance(result, FigureResult)
-    assert result.rows, f"{result.figure} produced no rows"
-    text = format_figure(result)
-    assert result.figure in text
-    return result
+def smoke_scale(figure):
+    """The smoke-scale keywords ``figure.plan`` takes."""
+    return {k: v for k, v in SMOKE.items() if k in inspect.signature(figure.plan).parameters}
+
+
+class CountingRunner(ParallelRunner):
+    """Counts submissions (``run`` and ``run_iter`` calls)."""
+
+    submissions = 0
+
+    def _submit(self, jobs):
+        self.submissions += 1
+        return super()._submit(jobs)
+
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """``name -> (results, submissions, csv paths)``, each figure run once."""
+    runner = CountingRunner(workers=1, cache_dir=tmp_path_factory.mktemp("cache"))
+    out = tmp_path_factory.mktemp("csv")
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            figure = FIGURES[name]
+            before = runner.submissions
+            results = figure.run(runner, **smoke_scale(figure))
+            paths = [write_csv(result, out) for result in results]
+            runs[name] = (results, runner.submissions - before, paths)
+        return runs[name]
+
+    return run
+
+
+def check(smoke, name):
+    results, submissions, paths = smoke(name)
+    for path in paths:
+        assert path.read_bytes() == (DATA / "smoke" / path.name).read_bytes(), path.name
+    verdicts = FIGURES[name].claims(results)
+    assert verdicts and all(isinstance(v, bool) for v in verdicts.values())
+    return results
+
+
+class TestRegistry:
+    def test_every_figure_makes_one_submission(self, smoke):
+        for name in FIGURES:
+            assert smoke(name)[1] == 1, name
+
+    def test_every_table_has_a_golden_csv(self, smoke):
+        written = {path.name for name in FIGURES for path in smoke(name)[2]}
+        assert written == {path.name for path in (DATA / "smoke").glob("*.csv")}
+
+    def test_plans_submit_no_cell_twice(self):
+        for name, figure in FIGURES.items():
+            jobs = figure.plan(**smoke_scale(figure)).jobs()
+            assert len({job_key(job) for job in jobs}) == len(jobs), name
+
+
+class TestJobKeys:
+    def test_table_is_pinned_under_another_hash_seed(self):
+        """Every figure plan (default and bench scale) and every perfbench
+        plan keys exactly as committed, in a fresh interpreter with a
+        different string-hash seed."""
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "job_keys.py")],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert json.loads(out) == json.loads((DATA / "job_keys.json").read_text())
 
 
 class TestMotivationDrivers:
-    def test_fig01(self):
-        result = fig01_itlb_cost.run(
-            itlb_sizes=((8, 32), (32, 128)), server_count=1, spec_count=1, **TINY
-        )
-        check(result)
-        assert len(result.rows) == 4
+    def test_fig01(self, smoke):
+        check(smoke, "fig01")
 
-    def test_fig02(self):
-        result = fig02_stlb_impki.run(server_count=1, spec_count=1, **TINY)
-        check(result)
-        assert {r[0] for r in result.rows} == {"server", "spec"}
+    def test_fig02(self, smoke):
+        check(smoke, "fig02")
 
-    def test_fig03(self):
-        result = fig03_probabilistic.run(p_values=(0.8,), server_count=1, **TINY)
-        check(result)
-        assert any(r[1] == "GEOMEAN" for r in result.rows)
+    def test_fig03(self, smoke):
+        check(smoke, "fig03")
 
-    def test_fig04(self):
-        result = fig04_mpki_breakdown.run(server_count=1, **TINY)
-        check(result)
-        assert len(result.rows) == 4  # 2 levels x 2 policies
+    def test_fig04(self, smoke):
+        check(smoke, "fig04")
 
 
 class TestEvaluationDrivers:
-    def test_fig08(self):
-        single, smt = fig08_main_comparison.run(server_count=1, per_category=1, **TINY)
-        check(single)
-        check(smt)
-        assert len(single.rows) == 10  # the full Table 2 matrix
+    def test_fig08(self, smoke):
+        single, smt, _by_category = check(smoke, "fig08")
+        assert len(single.rows) == len(smt.rows) == 10  # the full Table 2 matrix
 
-    def test_fig09(self):
-        single, smt = fig09_mpki_latency.run(
-            techniques=("lru", "itp+xptp"), server_count=1, per_category=1, **TINY
-        )
-        check(single)
-        check(smt)
+    def test_fig09(self, smoke):
+        check(smoke, "fig09")
 
-    def test_fig10(self):
-        result = fig10_stlb_breakdown.run(server_count=1, per_category=1, **TINY)
-        check(result)
-        assert len(result.rows) == 4
+    def test_fig10(self, smoke):
+        check(smoke, "fig10")
 
-    def test_fig11(self):
-        result = fig11_llc_sensitivity.run(
-            server_count=1, per_category=1, llc_policies=("lru",), **TINY
-        )
-        check(result)
+    def test_fig11(self, smoke):
+        check(smoke, "fig11")
 
-    def test_fig12(self):
-        result = fig12_itlb_sensitivity.run(
-            itlb_sizes=((16, 64),), server_count=1, per_category=1, **TINY
-        )
-        check(result)
+    def test_fig12(self, smoke):
+        check(smoke, "fig12")
 
-    def test_fig13(self):
-        result = fig13_large_pages.run(
-            percents=(0, 100), server_count=1, per_category=1, **TINY
-        )
-        check(result)
+    def test_fig13(self, smoke):
+        check(smoke, "fig13")
 
-    def test_fig14(self):
-        result = fig14_split_stlb.run(server_count=1, **TINY)
-        check(result)
-        assert len(result.rows) == 5
+    def test_fig14(self, smoke):
+        check(smoke, "fig14")
 
 
 class TestAblationDrivers:
-    def test_ablation_nm(self):
-        result = ablation_params.run_nm(nm_values=((2, 4),), server_count=1, **TINY)
-        check(result)
+    def test_ablation_nm(self, smoke):
+        assert check(smoke, "ablation_params")[0].figure == "Ablation N/M"
 
-    def test_ablation_k(self):
-        result = ablation_params.run_k(k_values=(8,), server_count=1, **TINY)
-        check(result)
+    def test_ablation_k(self, smoke):
+        assert check(smoke, "ablation_params")[1].figure == "Ablation K"
 
-    def test_ablation_adaptive(self):
-        result = ablation_adaptive.run(
-            t1_values=(1,), warmup=3000, measure=20000, phase_records=1000
-        )
-        check(result)
-        assert any("always-on" in str(r[0]) for r in result.rows)
+    def test_ablation_adaptive(self, smoke):
+        check(smoke, "ablation_adaptive")
 
-    def test_ext_stlb_prefetch(self):
-        result = ext_stlb_prefetch.run(server_count=1, **TINY)
-        check(result)
+    def test_ext_stlb_prefetch(self, smoke):
+        check(smoke, "ext_stlb_prefetch")
+
+
+class TestSMTCategoryBreakdown:
+    def test_rows_per_category(self, smoke):
+        """A third reducer over fig08's SMT cells: no cells of its own."""
+        by_category = check(smoke, "fig08")[2]
+        assert {row[0] for row in by_category.rows} == {"intense", "medium", "relaxed"}
+
+
+def small(name):
+    """``FIGURES[name]`` with its plan pinned to smoke scale."""
+    figure = FIGURES[name]
+    return dataclasses.replace(figure, plan=functools.partial(figure.plan, **smoke_scale(figure)))
 
 
 class TestCLI:
     def test_main_runs_one_figure(self, capsys, monkeypatch):
         from repro.experiments import __main__ as cli
 
-        monkeypatch.setitem(cli.RUNNERS, "fig02", lambda: fig02_stlb_impki.run(
-            server_count=1, spec_count=1, **TINY
-        ))
-        assert cli.main(["fig02"]) == 0
+        monkeypatch.setitem(cli.FIGURES, "fig02", small("fig02"))
+        assert cli.main(["--workers", "1", "fig02"]) == 0
         out = capsys.readouterr().out
         assert "Figure 2" in out
+        assert "[claim holds: fig02: server mean iMPKI > 0.5]" in out
 
     def test_main_rejects_unknown(self, capsys):
         from repro.experiments import __main__ as cli
@@ -140,12 +185,19 @@ class TestCLI:
         assert cli.main(["fig99"]) == 2
         assert "unknown figure" in capsys.readouterr().err
 
+    def test_repeated_workers_takes_the_last(self, capsys, monkeypatch):
+        from repro.experiments import __main__ as cli
 
-class TestSMTCategoryBreakdown:
-    def test_rows_per_category(self):
-        result = fig08_main_comparison.smt_category_breakdown(
-            techniques=("lru", "itp+xptp"), per_category=1, **TINY
-        )
-        check(result)
-        categories = {row[0] for row in result.rows}
-        assert categories == {"intense", "medium", "relaxed"}
+        monkeypatch.setitem(cli.FIGURES, "fig02", small("fig02"))
+        assert cli.main(["--workers", "auto", "--workers", "1", "fig02"]) == 0
+        assert "Figure 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "abc"], ["--workers"], ["--max-retries", "two"],
+        ["--cell-timeout", "soon"], ["--failure-policy", "bogus"], ["--topology", "ring"],
+    ])
+    def test_bad_runner_flags_are_usage_errors(self, capsys, argv):
+        from repro.experiments import __main__ as cli
+
+        assert cli.main(argv + ["fig02"]) == 2
+        assert capsys.readouterr().err

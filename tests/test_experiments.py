@@ -148,9 +148,12 @@ class TestExport:
 
     def test_cli_csv_dir(self, tmp_path, capsys, monkeypatch):
         from repro.experiments import __main__ as cli
+        from repro.experiments.runner import Figure, Plan
 
-        monkeypatch.setitem(cli.RUNNERS, "figtest", self.make_figure)
-        assert cli.main(["--csv-dir", str(tmp_path), "figtest"]) == 0
+        figure = Figure("figtest", lambda: Plan({}), (lambda grid: self.make_figure(),),
+                        lambda results: {})
+        monkeypatch.setitem(cli.FIGURES, "figtest", figure)
+        assert cli.main(["--workers", "1", "--csv-dir", str(tmp_path), "figtest"]) == 0
         assert (tmp_path / "figure_2.csv").exists()
 
     def test_cli_csv_dir_missing_arg(self, capsys):

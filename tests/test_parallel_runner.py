@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.common.params import scaled_config
-from repro.experiments.runner import compare_single_thread, config_for
+from repro.experiments.runner import Plan, Sweep, config_for, run_plan, variants_for
 from repro.fabric import (
     CONTINUE,
     CellTimeout,
@@ -116,14 +116,9 @@ class TestSimJob:
 class TestParallelIdentical:
     def test_workers_4_matches_workers_1_bit_identical(self):
         workloads = small_workloads()
-        serial = compare_single_thread(
-            ("lru", "itp"), workloads, None, WARMUP, MEASURE,
-            runner=ParallelRunner(workers=1),
-        )
-        parallel = compare_single_thread(
-            ("lru", "itp"), workloads, None, WARMUP, MEASURE,
-            runner=ParallelRunner(workers=4),
-        )
+        plan = Plan({"w": Sweep(variants_for(("lru", "itp")), workloads)}, WARMUP, MEASURE)
+        serial = run_plan(plan, runner=ParallelRunner(workers=1))["w"]
+        parallel = run_plan(plan, runner=ParallelRunner(workers=4))["w"]
         for technique in ("lru", "itp"):
             for wl in workloads:
                 a = serial.results[technique][wl.name]

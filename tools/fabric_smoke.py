@@ -1,8 +1,9 @@
 """CI smoke for the execution fabric's cross-submission dedup.
 
-Submits two *overlapping* ``ablation_adaptive`` matrices concurrently (two
-consumer threads, one :class:`repro.fabric.Scheduler`, one shared cache
-directory) and asserts the fabric's core invariants:
+Submits two *overlapping* matrices built from the ``ablation_adaptive``
+figure's plan concurrently (two consumer threads, one
+:class:`repro.fabric.Scheduler`, one shared cache directory) and asserts
+the fabric's core invariants:
 
 * each unique ``job_key`` is simulated exactly once, no matter how many
   submissions name it (``simulations == unique job_keys``);
@@ -20,7 +21,7 @@ import threading
 from typing import List, Optional
 
 from repro.core.simulator import SimulationResult
-from repro.experiments import ablation_adaptive
+from repro.experiments import FIGURES
 from repro.fabric import Scheduler, SchedulerConfig, job_key
 from repro.fabric.store import ResultCache
 
@@ -28,9 +29,8 @@ from repro.fabric.store import ResultCache
 def _overlapping_matrices():
     # Matrix B shares lru / always-on / T1 in {1, 2, 4} with matrix A and
     # contributes one novel cell (T1=8).
-    a = ablation_adaptive.build_jobs(t1_values=(0, 1, 2, 4))
-    b = ablation_adaptive.build_jobs(t1_values=(1, 2, 4, 8))
-    return a, b
+    plan = FIGURES["ablation_adaptive"].plan
+    return plan(t1_values=(0, 1, 2, 4)).jobs(), plan(t1_values=(1, 2, 4, 8)).jobs()
 
 
 def _run_pass(cache_dir: str, workers: int = 2) -> Scheduler:
