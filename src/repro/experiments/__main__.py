@@ -8,9 +8,9 @@ line per claim with its verdict.  With ``--csv-dir DIR`` each table is
 also written to ``DIR/<table>.csv``.  ``--workers N`` fans the
 simulations over N processes (a count or ``auto``, the default: all
 cores); ``--cache-dir DIR`` reuses previously computed simulation
-results; ``--topology NAME`` runs every figure on a non-default machine
-graph (a preset such as ``split-stlb`` or ``no-llc`` — see
-``repro.topology.presets``).
+results; ``--topology NAME`` runs every figure on a non-default
+single-core machine graph (a preset such as ``split-stlb`` or ``no-llc``
+— see ``repro.topology.presets``); a multi-core preset is a usage error.
 
 Fault tolerance (see ``docs/robustness.md``): ``--failure-policy
 fail-fast|continue`` (continue finishes the whole matrix and reports the
@@ -27,8 +27,10 @@ import sys
 import time
 
 from ..cli import add_runner_arguments, runner_from_args
+from ..common.params import scaled_config
 from ..fabric import MatrixError
 from ..kernel import resolve_engine
+from ..topology.presets import PRESET_NAMES, resolve_topology
 from . import FIGURES
 from .export import write_csv
 from .reporting import format_figure
@@ -70,6 +72,19 @@ def main(argv) -> int:
             runner = runner_from_args(args)
         except ValueError as exc:  # includes ConfigurationError, TopologyError
             parser.error(str(exc))
+        cores = resolve_topology(args.topology, scaled_config()).num_cores
+        if cores > 1:
+            # Every figure cell runs one workload (or two as SMT threads)
+            # on one core, so no figure can fill a multi-core graph.
+            single_core = [
+                name for name in PRESET_NAMES
+                if not name.endswith("-N")
+                and resolve_topology(name, scaled_config()).num_cores == 1
+            ]
+            parser.error(
+                f"topology {args.topology!r} has {cores} cores, but figures run "
+                f"on one core; single-core presets: {', '.join(single_core)}"
+            )
     except SystemExit as exc:
         return exc.code or 0
     failed_figures = []

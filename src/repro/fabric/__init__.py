@@ -1,4 +1,4 @@
-"""The execution fabric: jobs, store, backends, scheduler, runner API.
+"""The execution fabric: jobs, store, backends and the runner API.
 
 The fabric decomposes experiment execution into four seams (see
 ``docs/fabric.md``):
@@ -11,34 +11,34 @@ The fabric decomposes experiment execution into four seams (see
   :class:`Backend` protocol with serial and process-pool
   implementations (``Backend.execute`` anchors lint rule RPR008's
   worker-determinism closure);
-* :mod:`repro.fabric.scheduler` — the submission queue: many concurrent
-  matrices deduplicated by ``job_key``, retry/timeout/failure policy per
-  unique cell, fault plans carried per scheduler, streaming delivery via
-  ``Submission.iter_results``.
+* :mod:`repro.fabric.api` — :class:`ParallelRunner`: its knobs, lifetime
+  counters and the per-run loop that keys a job list (each unique
+  ``job_key`` simulates once), serves cached cells, applies the
+  retry/timeout/failure policy per unique cell with the run's own fault
+  plan, and streams results via ``run_iter``; plus the
+  :class:`MatrixReport` it fills in and the ``run_jobs`` / ``run_iter``
+  helpers over the process-wide default runner.
 
-:mod:`repro.fabric.api` holds ``ParallelRunner`` (knobs and lifetime
-counters over a fresh scheduler per run) and the ``run_jobs`` /
-``run_iter`` helpers over the process-wide default runner.  Import
-everything from this package.
+Import everything from this package.
 """
 
 from .api import (
+    CellReport,
+    MatrixError,
+    MatrixReport,
     ParallelRunner,
-    configure_default_runner,
     get_default_runner,
     run_iter,
     run_jobs,
     set_default_runner,
 )
 from .backends import (
-    BACKENDS,
     Backend,
     BackendBroken,
     CellCompletion,
     ProcessPoolBackend,
     SerialBackend,
     execute_cell,
-    make_backend,
 )
 from .jobs import (
     CACHE_VERSION,
@@ -54,18 +54,9 @@ from .jobs import (
     smt,
     workload_fingerprint,
 )
-from .scheduler import (
-    CellReport,
-    MatrixError,
-    MatrixReport,
-    Scheduler,
-    SchedulerConfig,
-    Submission,
-)
 from .store import STALE_TMP_SECONDS, ResultCache
 
 __all__ = [
-    "BACKENDS",
     "Backend",
     "BackendBroken",
     "CACHE_VERSION",
@@ -82,17 +73,12 @@ __all__ = [
     "ProcessPoolBackend",
     "ResultCache",
     "STALE_TMP_SECONDS",
-    "Scheduler",
-    "SchedulerConfig",
     "SerialBackend",
     "SimJob",
     "SimulationError",
-    "Submission",
-    "configure_default_runner",
     "execute_cell",
     "get_default_runner",
     "job_key",
-    "make_backend",
     "run_iter",
     "run_jobs",
     "set_default_runner",

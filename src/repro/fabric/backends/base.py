@@ -1,10 +1,10 @@
 """The :class:`Backend` protocol — the fabric's execution seam.
 
-A backend owns *where* cell attempts run (inline, a thread pool, a process
-pool, ...) and nothing else: no retry policy, no caching, no ordering.
-The scheduler hands a backend ``(token, job, attempt, timeout)`` tuples
-and collects :class:`CellCompletion` records; everything above that line
-— dedup, retries, backoff, failure policy, report bookkeeping — is
+A backend owns *where* cell attempts run (inline or in a process pool)
+and nothing else: no retry policy, no caching, no ordering.
+The runner hands a backend ``(token, job, attempt, timeout)`` tuples and
+collects :class:`CellCompletion` records; everything above that line —
+dedup, retries, backoff, failure policy, report bookkeeping — is
 backend-independent.
 
 All backends funnel through :func:`execute_cell`, the one function that
@@ -13,7 +13,7 @@ actually runs a simulation.  It is the anchor of lint rule RPR008
 unseeded randomness, wall-clock dependence and module-global writes, so a
 cell's result depends only on the job description — never on the backend,
 the worker, or the attempt number.  Its fault plan is an argument, never
-process state, so concurrent schedulers cannot see each other's.  Keep it
+process state, so concurrent runs cannot see each other's.  Keep it
 module-level: process-pool workers run it.
 """
 
@@ -90,7 +90,7 @@ def execute_cell(
 class CellCompletion(NamedTuple):
     """One finished cell attempt, success or failure.
 
-    ``token`` echoes whatever the scheduler passed to :meth:`Backend.submit`
+    ``token`` echoes whatever the runner passed to :meth:`Backend.submit`
     (the fabric uses job-key strings).  Exactly one of ``outcome`` /
     ``error`` is set: ``outcome`` is the ``(result, elapsed)`` pair from
     :func:`execute_cell`, ``error`` the exception the attempt raised.
@@ -129,10 +129,10 @@ class BackendBroken(RuntimeError):
 class Backend(ABC):
     """Where cell attempts run.  Implementations: serial, processes.
 
-    The contract the scheduler relies on:
+    The contract the runner relies on:
 
     * :attr:`capacity` — how many attempts may usefully be in flight at
-      once; the scheduler keeps the backend topped up to this depth.
+      once; the runner keeps the backend topped up to this depth.
     * :meth:`submit` — accept one attempt.  May raise
       :class:`BackendBroken` if the substrate died; the attempt is then in
       the exception's ``unstarted`` list and was not consumed.
@@ -142,12 +142,12 @@ class Backend(ABC):
     * :meth:`close` — release the substrate (idempotent).
 
     Backends never retry, reorder, or interpret results — determinism and
-    policy live in the scheduler, bit-identity in :func:`execute_cell`.
+    policy live in the runner, bit-identity in :func:`execute_cell`.
     """
 
     #: Maximum useful in-flight attempts (1 for serial execution).
     capacity: int = 1
-    #: The scheduler's fault plan; attempts consult it, never a global.
+    #: The run's fault plan; attempts consult it, never a global.
     fault_plan: Optional[FaultPlan] = None
 
     @abstractmethod

@@ -4,8 +4,8 @@ Worker crashes (an OS kill, an injected ``worker.crash``) surface as
 ``BrokenProcessPool``; the backend discards the broken pool and raises
 :class:`~.base.BackendBroken` naming the interrupted attempts, carrying
 any completions that finished before the break so no result is lost.  The
-scheduler decides what to requeue; the next :meth:`submit` builds a fresh
-pool.  The scheduler's fault plan reaches the workers through the pool
+runner decides what to requeue; the next :meth:`submit` builds a fresh
+pool.  The run's fault plan reaches the workers through the pool
 initializer, which installs it as each worker's process plan (a worker
 serves one pool, so its plan cannot be overwritten mid-run, and the
 plan's ``max`` fire caps count per worker process).  Per-cell SIGALRM
@@ -33,25 +33,26 @@ def _execute_in_worker(
 
 
 class ProcessPoolBackend(Backend):
-    """Fan attempts out over a ``ProcessPoolExecutor``, rebuilt on breakage."""
+    """Fan attempts out over a ``ProcessPoolExecutor``, rebuilt on breakage.
+
+    ``pending`` is how many cells the run expects to execute; the pool
+    never starts more workers than that (default: ``workers``).
+    """
 
     def __init__(
         self,
         workers: int,
         fault_plan: Optional["fault_plans.FaultPlan"] = None,
+        pending: Optional[int] = None,
     ) -> None:
         self.workers = max(1, int(workers))
         self.capacity = self.workers
         self.fault_plan = fault_plan
-        self._hint = self.workers
+        self._pool_size = min(self.workers, pending or self.workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._futures: Dict[
             "Future[Tuple[SimulationResult, float]]", object
         ] = {}
-
-    def open(self, hint: int) -> None:
-        """Size hint: expected pending cells (the pool never needs more)."""
-        self._hint = max(1, int(hint))
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -62,7 +63,7 @@ class ProcessPoolBackend(Backend):
                     initargs=(self.fault_plan.spec_string(),),
                 )
             self._pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, self._hint), **kwargs
+                max_workers=self._pool_size, **kwargs
             )
         return self._pool
 

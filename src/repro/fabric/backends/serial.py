@@ -1,11 +1,11 @@
-"""Serial backend: attempts run inline on the scheduler's driving thread.
+"""Serial backend: attempts run inline on the runner's calling thread.
 
 Bit-identical to the pre-fabric serial code path — no pool, no threads, no
 pickling.  Because the attempt runs on the caller's thread (the process's
 main thread in CLI runs and tests), :func:`~.base._cell_deadline` can arm
 SIGALRM, so per-cell timeouts work exactly as they did in the serial
-``ParallelRunner``.  Worker fault sites consult the plan the scheduler
-built this backend with.
+``ParallelRunner``.  Worker fault sites consult the plan the run built
+this backend with.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class SerialBackend(Backend):
         # Execute immediately: the drain() that follows just hands the
         # completion back.  Exceptions (including CellTimeout from the
         # SIGALRM deadline and InjectedWorkerCrash from armed fault plans)
-        # become failure completions for the scheduler's retry machinery.
+        # become failure completions for the runner's retry machinery.
         try:
             outcome = self.execute(job, attempt, timeout)
         except Exception as exc:

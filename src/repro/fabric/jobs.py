@@ -8,8 +8,8 @@ bit-identical results on any backend, which is the invariant the whole
 fabric rests on.
 
 :func:`job_key` collapses a job to a stable content address.  It is the
-unit of deduplication (the scheduler simulates each unique key exactly
-once across concurrent submissions) and the key of the shared artifact
+unit of deduplication (a run simulates each unique key exactly once, however
+many of its slots name it) and the key of the shared artifact
 store (:class:`repro.fabric.store.ResultCache`).
 
 This module also owns the fabric's shared vocabulary — failure policies,

@@ -1,9 +1,9 @@
 """Shared artifact store: the integrity-checked on-disk result cache.
 
 The cache is keyed by :func:`repro.fabric.jobs.job_key` content addresses,
-so any number of concurrent schedulers, figure drivers or hosts can share
-one directory — a cell simulated by one submission is a hit for every
-other submission that names the same job.  Entries are checksummed and
+so any number of runners, figure drivers or hosts can share one
+directory — a cell simulated by one run is a hit for every other run
+that names the same job.  Entries are checksummed and
 atomically written; a torn or corrupt entry is quarantined and reads as a
 miss, never served.
 """
@@ -49,7 +49,7 @@ class ResultCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir = self.directory / "quarantine"
-        # Observability for the scheduler's MatrixReport and for tests.
+        # Observability for the runner's MatrixReport and for tests.
         self.quarantined = 0
         self.last_quarantined: Optional[str] = None
         self.store_failures = 0

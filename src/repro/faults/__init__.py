@@ -20,11 +20,10 @@ that harness:
 * **Two arming surfaces**: the ``REPRO_FAULTS`` environment variable
   (grammar ``site[:prob[:seed[:max[:match]]]]``, comma-separated; see
   :func:`parse_spec`), or a programmatic :class:`FaultPlan` passed as
-  ``faults=`` to a runner or scheduler config.  A scheduler resolves its
-  plan once (``faults=`` wins over the ambient :func:`active_plan`) and
-  hands it explicitly to every site — the serial executor, cache stores
-  and attribution — so concurrent schedulers with different plans never
-  share one.  Pool workers receive it through the pool initializer
+  ``faults=`` to a runner.  Each run resolves its plan once (``faults=``
+  wins over the ambient :func:`active_plan`) and hands it explicitly to
+  every site — the serial executor, cache stores and attribution — so
+  concurrent runners with different plans never share one.  Pool workers receive it through the pool initializer
   (:func:`install_plan`).
 
 Worker-site faults (``worker.*``) are consulted only on a cell's *first*

@@ -3,7 +3,7 @@
 ``worker.*`` sites act here (the process dies, or the cell sleeps); the
 ``cache.*`` sites are decided by ``ResultCache.store``, which owns the
 file format.  Every site takes the plan to consult explicitly — the
-fabric resolves one per scheduler, never from shared state mid-run.
+fabric resolves one per run, never from shared state mid-run.
 """
 
 from __future__ import annotations

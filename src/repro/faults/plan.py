@@ -205,10 +205,10 @@ def active_plan() -> Optional[FaultPlan]:
 
     A programmatically installed plan (:func:`install_plan`) wins;
     otherwise the plan is parsed lazily from ``REPRO_FAULTS``.  The fabric
-    reads this once per scheduler (and once per task in a pool worker,
-    whose initializer installed the scheduler's plan) and then hands the
-    plan explicitly to every injection site, so concurrent schedulers
-    with different plans never see each other's.
+    reads this once per run (and once per task in a pool worker, whose
+    initializer installed the run's plan) and then hands the plan
+    explicitly to every injection site, so concurrent runners with
+    different plans never see each other's.
     """
     global _env_cache
     if _installed is not None:

@@ -85,6 +85,17 @@ class TestMain:
         assert main(["--topology", "ring"]) == 2
         assert "unknown topology" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("topology", ["multicore-2", "shared-l2"])
+    def test_figure_cli_rejects_multicore_topology(self, capsys, topology):
+        """Figure cells run on one core: the figure CLI refuses a multi-core
+        preset before any figure runs, naming the single-core ones."""
+        from repro.experiments import __main__ as figure_cli
+
+        assert figure_cli.main(["--topology", topology, "fig10"]) == 2
+        err = capsys.readouterr().err
+        assert f"topology '{topology}' has 2 cores" in err
+        assert "single-core presets: table1, split-stlb, no-llc" in err
+
     def test_energy_column(self, capsys):
         rc = main([
             "--techniques", "lru", "--energy",

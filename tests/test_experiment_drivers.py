@@ -43,9 +43,9 @@ class CountingRunner(ParallelRunner):
 
     submissions = 0
 
-    def _submit(self, jobs):
+    def run_iter(self, jobs):
         self.submissions += 1
-        return super()._submit(jobs)
+        return super().run_iter(jobs)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,20 @@ class TestRegistry:
     def test_every_table_has_a_golden_csv(self, smoke):
         written = {path.name for name in FIGURES for path in smoke(name)[2]}
         assert written == {path.name for path in (DATA / "smoke").glob("*.csv")}
+
+    def test_claims_table_names_every_registry_claim(self, smoke):
+        """EXPERIMENTS.md's verdict table lists exactly the registry's
+        claims, in registry order (names only; verdicts vary by scale)."""
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        table = text.split("## Claims: verdicts", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            tuple(field.strip().strip("`") for field in line.split("|")[1:3])
+            for line in table.splitlines()
+            if line.startswith("| `")
+        ]
+        assert rows == [
+            (name, claim) for name in FIGURES for claim in FIGURES[name].claims(smoke(name)[0])
+        ]
 
     def test_plans_submit_no_cell_twice(self):
         for name, figure in FIGURES.items():

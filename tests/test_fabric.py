@@ -1,10 +1,9 @@
-"""Tests for the execution fabric: scheduler dedup, streaming, fault plans.
+"""Tests for the execution fabric: dedup, streaming, fault plans.
 
 The runner contract (``ParallelRunner``/``run_jobs``) is pinned by
-``test_parallel_runner.py``; this module covers what only the fabric
-provides — cross-submission dedup, incremental delivery, per-runner fault
-plans and workload fingerprints — plus the ``configure_default_runner``
-worker-count regression.
+``test_parallel_runner.py``; this module covers what the fabric adds on
+top — dedup of keys named twice in one run, incremental delivery,
+per-runner fault plans and workload fingerprints.
 """
 
 import inspect
@@ -17,10 +16,7 @@ from hypothesis import strategies as st
 from repro.common.params import scaled_config
 from repro.fabric import (
     ParallelRunner,
-    Scheduler,
-    SchedulerConfig,
     SimJob,
-    configure_default_runner,
     job_key,
     run_iter,
     set_default_runner,
@@ -79,63 +75,37 @@ class TestSimJobWindows:
 
 
 class TestConcurrentDedup:
-    def _submit_concurrently(self, scheduler, matrices):
-        results = [None] * len(matrices)
-        errors = []
-        barrier = threading.Barrier(len(matrices))
+    """A key named twice in one run simulates once; on two pool workers."""
 
-        def consume(slot, jobs):
-            try:
-                barrier.wait(timeout=30)
-                results[slot] = scheduler.submit(jobs).collect()
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=consume, args=(slot, jobs))
-            for slot, jobs in enumerate(matrices)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
-        return results
-
-    def test_overlapping_submissions_execute_each_key_once(self):
+    def test_overlapping_cells_execute_each_key_once(self):
         workloads = small_workloads(3)
         jobs_a = jobs_for(("lru", "itp"), workloads)  # 6 cells
         jobs_b = jobs_for(("itp", "xptp"), workloads)  # 6 cells, 3 shared
         unique = len({job_key(j) for j in jobs_a + jobs_b})
         assert unique == 9  # the overlap is real
 
-        scheduler = Scheduler(SchedulerConfig.from_knobs(1, False))
-        res_a, res_b = self._submit_concurrently(scheduler, [jobs_a, jobs_b])
+        runner = ParallelRunner(workers=2)
+        results = runner.run(jobs_a + jobs_b)
 
-        assert scheduler.simulations == unique
-        assert scheduler.dedup_hits == len(jobs_a) + len(jobs_b) - unique
-        # Complete, order-preserved results for both callers.
-        assert [r.workload for r in res_a] == [j.workload_name for j in jobs_a]
-        assert [r.workload for r in res_b] == [j.workload_name for j in jobs_b]
-        # Shared cells settle to the same result object in both matrices.
-        by_key = {job_key(j): r for j, r in zip(jobs_a, res_a)}
-        for job, result in zip(jobs_b, res_b):
-            if job_key(job) in by_key:
-                assert result is by_key[job_key(job)]
+        assert runner.simulations == unique
+        # Complete, order-preserved results for every slot.
+        assert [r.workload for r in results] == [j.workload_name for j in jobs_a + jobs_b]
+        # Duplicate slots settle to the same result object.
+        by_key = {}
+        for job, result in zip(jobs_a + jobs_b, results):
+            assert by_key.setdefault(job_key(job), result) is result
+        assert [c.status for c in runner.last_report.cells] == ["ok"] * len(results)
 
     def test_concurrent_results_bit_identical_to_serial(self):
         jobs_a = jobs_for(("lru", "itp"))
         jobs_b = jobs_for(("itp", "xptp"))
-        scheduler = Scheduler(SchedulerConfig.from_knobs(1, False))
-        res_a, res_b = self._submit_concurrently(scheduler, [jobs_a, jobs_b])
+        results = ParallelRunner(workers=2).run(jobs_a + jobs_b)
         serial_a = ParallelRunner(workers=1).run(jobs_a)
         serial_b = ParallelRunner(workers=1).run(jobs_b)
-        for got, want in zip(res_a + res_b, serial_a + serial_b):
+        for got, want in zip(results, serial_a + serial_b):
             assert_same_result(got, want)
 
-    def test_chaos_concurrent_submissions_converge_to_serial(
-        self, tmp_path, monkeypatch
-    ):
+    def test_chaos_run_with_duplicates_converges_to_serial(self, tmp_path, monkeypatch):
         """Crashing workers and a torn cache write must not break dedup or
         change any settled result vs a clean serial run."""
         monkeypatch.setenv(
@@ -145,43 +115,30 @@ class TestConcurrentDedup:
         fault_plan_mod._env_cache = (None, None)
         jobs_a = jobs_for(("lru", "itp"))
         jobs_b = jobs_for(("itp", "xptp"))
-        config = SchedulerConfig.from_knobs(
-            2, False, max_retries=2, max_pool_restarts=4
+        runner = ParallelRunner(
+            workers=2, cache_dir=tmp_path, max_retries=2, max_pool_restarts=4
         )
-        scheduler = Scheduler(config, cache=ResultCache(tmp_path))
-        res_a, res_b = self._submit_concurrently(scheduler, [jobs_a, jobs_b])
-        assert scheduler.simulations == len({job_key(j) for j in jobs_a + jobs_b})
+        results = runner.run(jobs_a + jobs_b)
+        assert runner.simulations == len({job_key(j) for j in jobs_a + jobs_b})
+        assert runner.last_report.pool_restarts >= 1  # the crash really fired
 
         monkeypatch.delenv("REPRO_FAULTS")
         fault_plan_mod._env_cache = (None, None)
         serial_a = ParallelRunner(workers=1).run(jobs_a)
         serial_b = ParallelRunner(workers=1).run(jobs_b)
-        for got, want in zip(res_a + res_b, serial_a + serial_b):
+        for got, want in zip(results, serial_a + serial_b):
             assert_same_result(got, want)
 
-    def test_submission_iterates_its_stream_and_close_is_idempotent(self):
-        scheduler = Scheduler(SchedulerConfig.from_knobs(1, False))
-        jobs = jobs_for(("lru",))
-        rows = {index: result.workload for index, _cell, result in scheduler.submit(jobs)}
+    def test_run_iter_streams_every_index_once_with_duplicates(self):
+        jobs = jobs_for(("lru", "itp")) + jobs_for(("itp",))
+        runner = ParallelRunner(workers=1)
+        rows = {}
+        for index, cell, result in runner.run_iter(jobs):
+            assert index not in rows
+            assert cell is runner.last_report.cells[index]
+            rows[index] = result.workload
         assert rows == {index: job.workload_name for index, job in enumerate(jobs)}
-        scheduler.close()
-        scheduler.close()
-        # A closed scheduler builds a fresh backend on the next submission.
-        again = scheduler.submit(jobs_for(("itp",))).collect()
-        assert len(again) == len(jobs)
-        scheduler.close()
-
-    def test_late_submission_attaches_to_settled_cells(self, tmp_path):
-        scheduler = Scheduler(
-            SchedulerConfig.from_knobs(1, False), cache=ResultCache(tmp_path)
-        )
-        jobs = jobs_for(("lru",))
-        first = scheduler.submit(jobs).collect()
-        second = scheduler.submit(jobs).collect()
-        assert scheduler.simulations == len(jobs)
-        assert scheduler.dedup_hits == len(jobs)
-        for a, b in zip(first, second):
-            assert a is b
+        assert runner.simulations == len({job_key(j) for j in jobs})
 
 
 class TestStreaming:
@@ -286,25 +243,6 @@ class TestPerRunnerFaultPlans:
         # Nothing was installed process-wide, so nothing is left behind.
         assert fault_plan_mod._installed is None
         assert fault_plan_mod.active_plan() is None
-
-
-class TestConfigureDefaultRunner:
-    def test_unset_workers_falls_back_to_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        previous = set_default_runner(None)
-        try:
-            runner = configure_default_runner(cache_dir=tmp_path)
-            assert runner.workers == 3
-        finally:
-            set_default_runner(previous)
-
-    def test_explicit_workers_still_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        previous = set_default_runner(None)
-        try:
-            assert configure_default_runner(workers=1).workers == 1
-        finally:
-            set_default_runner(previous)
 
 
 #: Hash and canonical-form properties run at the top tier (500 examples).

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment runner and its result cache."""
 
+import multiprocessing
 import os
 import threading
 import time
@@ -15,7 +16,7 @@ from repro.fabric import (
     MatrixError,
     ParallelRunner,
     ResultCache,
-    Scheduler,
+    SerialBackend,
     SimJob,
     SimulationError,
     get_default_runner,
@@ -27,7 +28,6 @@ from repro.fabric import (
     workload_fingerprint,
 )
 from repro.fabric import execute_cell as _execute
-from repro.fabric import scheduler as fabric_scheduler
 from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.faults import plan as fault_plan_mod
 from repro.workloads.server import ServerWorkload
@@ -205,6 +205,16 @@ class TestFailurePropagation:
         with pytest.raises(SimulationError, match=r"lru x bad"):
             ParallelRunner(workers=2).run(self.failing_jobs())
 
+    def test_pool_fail_fast_leaves_no_live_workers(self):
+        base = scaled_config()
+        jobs = self.failing_jobs() + [
+            SimJob(base, (ServerWorkload(f"later{i}", i + 3),), WARMUP, MEASURE, label="lru")
+            for i in range(3)
+        ]
+        with pytest.raises(SimulationError, match=r"lru x bad"):
+            ParallelRunner(workers=2).run(jobs)
+        assert multiprocessing.active_children() == []
+
 
 _TINY_RESULT = None
 
@@ -258,6 +268,10 @@ class TestEnvValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="failure policy"):
             ParallelRunner(workers=1, policy="best-effort")
+
+    def test_unknown_backend_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="'serial' or 'process'.*'thread'"):
+            ParallelRunner(workers=2, backend="thread")
 
     def test_malformed_repro_faults_is_a_configuration_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker.explode")
@@ -382,7 +396,7 @@ class TestCompleteness:
         silently shrink the result list (regression for the old
         ``[r for r in results if r is not None]`` truncation)."""
         monkeypatch.setattr(
-            Scheduler, "_finish", lambda self, *a, **k: None
+            SerialBackend, "execute", lambda self, *a, **k: (None, 0.0)
         )
         with pytest.raises(SimulationError, match="without a result"):
             ParallelRunner(workers=1).run(small_jobs())
@@ -407,7 +421,7 @@ class TestRetriesAndFaults:
 
     def test_backoff_doubles_per_attempt_with_deterministic_jitter(self, monkeypatch):
         delays = []
-        monkeypatch.setattr(fabric_scheduler.time, "sleep", delays.append)
+        monkeypatch.setattr(time, "sleep", delays.append)
         job = SimJob(scaled_config(), (BoomWorkload("bad", 2),), WARMUP, MEASURE, label="lru")
 
         def schedule():
