@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
+from typing import List, Sequence
 
 from .common.energy import energy_report
 from .common.params import SystemConfig, scaled_config
@@ -107,8 +107,14 @@ def _count(value: str) -> int:
     return int(value)
 
 
-def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the flags :func:`runner_from_args` reads: where and how cells run."""
+def add_runner_arguments(
+    parser: argparse.ArgumentParser, presets: Sequence[str]
+) -> None:
+    """Add the flags :func:`runner_from_args` reads: where and how cells run.
+
+    ``presets`` are the ``--topology`` names the help lists: the ones this
+    command can run on.
+    """
     parser.add_argument(
         "--workers", type=_worker_count, default="auto", metavar="N",
         help="worker processes: a count or 'auto' for every core (default: auto)",
@@ -134,7 +140,7 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology", default=None, metavar="NAME",
         help="machine graph preset (default: the Table 1 hierarchy); "
-             f"one of: {', '.join(PRESET_NAMES)}",
+             f"one of: {', '.join(presets)}",
     )
 
 
@@ -167,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload", choices=WORKLOAD_KINDS, default="server")
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="execution engine (default: REPRO_ENGINE, then 'spec'); both "
-             "engines produce bit-identical statistics",
+        help="execution engine (default: spec); both engines produce "
+             "bit-identical statistics",
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--warmup", type=int, default=WARMUP)
@@ -178,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="percent of the footprint on 2MB pages (Section 6.5)",
     )
     parser.add_argument("--energy", action="store_true", help="include pJ/instruction")
-    add_runner_arguments(parser)
+    add_runner_arguments(parser, PRESET_NAMES)
     parser.add_argument("--list", action="store_true", help="list techniques and exit")
     parser.add_argument("--describe", action="store_true",
                         help="print the simulated system configuration and exit")
@@ -214,8 +220,8 @@ def main(argv: List[str] = None) -> int:
     spec = resolve_topology(args.topology, scaled_config())
 
     try:
-        # Argparse restricts --engine; this catches a bad REPRO_ENGINE value
-        # and a batched engine asked to drive one stream per core.
+        # Argparse restricts --engine; this catches a batched engine asked
+        # to drive one stream per core.
         engine_for(args.engine, spec.num_cores)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

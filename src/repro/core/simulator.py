@@ -209,8 +209,8 @@ def simulate(
     """Run one workload on one hardware thread.
 
     ``engine`` selects the execution engine (``spec`` or ``batched``; see
-    :mod:`repro.kernel`); ``None`` defers to ``REPRO_ENGINE`` then the
-    default.  Both engines produce bit-identical statistics.
+    :mod:`repro.kernel`); ``None`` is ``spec``.  Both engines produce
+    bit-identical statistics.
     """
     session = Session(config, [workload], topology, engine)
     session.warmup(warmup_instructions)

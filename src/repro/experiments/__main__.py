@@ -29,11 +29,18 @@ import time
 from ..cli import add_runner_arguments, runner_from_args
 from ..common.params import scaled_config
 from ..fabric import MatrixError
-from ..kernel import resolve_engine
 from ..topology.presets import PRESET_NAMES, resolve_topology
 from . import FIGURES
 from .export import write_csv
 from .reporting import format_figure
+
+#: The presets a figure can run on: every figure cell runs one workload (or
+#: two as SMT threads) on one core, so no figure can fill a multi-core graph.
+SINGLE_CORE_PRESETS = tuple(
+    name for name in PRESET_NAMES
+    if not name.endswith("-N")
+    and resolve_topology(name, scaled_config()).num_cores == 1
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--csv-dir", default=None, metavar="DIR", help="also write each table to DIR/<table>.csv"
     )
-    add_runner_arguments(parser)
+    add_runner_arguments(parser, SINGLE_CORE_PRESETS)
     return parser
 
 
@@ -66,24 +73,14 @@ def main(argv) -> int:
                 f"available: {', '.join(FIGURES)} or 'all'"
             )
         try:
-            # Jobs resolve their engine lazily; a bad REPRO_ENGINE value
-            # should fail here with a usage error, not mid-matrix.
-            resolve_engine(None)
             runner = runner_from_args(args)
         except ValueError as exc:  # includes ConfigurationError, TopologyError
             parser.error(str(exc))
         cores = resolve_topology(args.topology, scaled_config()).num_cores
         if cores > 1:
-            # Every figure cell runs one workload (or two as SMT threads)
-            # on one core, so no figure can fill a multi-core graph.
-            single_core = [
-                name for name in PRESET_NAMES
-                if not name.endswith("-N")
-                and resolve_topology(name, scaled_config()).num_cores == 1
-            ]
             parser.error(
                 f"topology {args.topology!r} has {cores} cores, but figures run "
-                f"on one core; single-core presets: {', '.join(single_core)}"
+                f"on one core; single-core presets: {', '.join(SINGLE_CORE_PRESETS)}"
             )
     except SystemExit as exc:
         return exc.code or 0

@@ -9,8 +9,8 @@ The fabric decomposes experiment execution into four seams (see
   integrity-checked on-disk :class:`ResultCache`;
 * :mod:`repro.fabric.backends` — where attempts run: the
   :class:`Backend` protocol with serial and process-pool
-  implementations (``Backend.execute`` anchors lint rule RPR008's
-  worker-determinism closure);
+  implementations, all funnelling through ``execute_cell``, whose result
+  must depend on the job alone;
 * :mod:`repro.fabric.api` — :class:`ParallelRunner`: its knobs, lifetime
   counters and the per-run loop that keys a job list (each unique
   ``job_key`` simulates once), serves cached cells, applies the

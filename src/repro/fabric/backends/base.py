@@ -8,13 +8,15 @@ dedup, retries, backoff, failure policy, report bookkeeping — is
 backend-independent.
 
 All backends funnel through :func:`execute_cell`, the one function that
-actually runs a simulation.  It is the anchor of lint rule RPR008
-(worker determinism): everything reachable from it must be free of
+actually runs a simulation.  Everything reachable from it must be free of
 unseeded randomness, wall-clock dependence and module-global writes, so a
 cell's result depends only on the job description — never on the backend,
-the worker, or the attempt number.  Its fault plan is an argument, never
-process state, so concurrent runs cannot see each other's.  Keep it
-module-level: process-pool workers run it.
+the worker, or the attempt number.  The golden digests, the pinned
+``job_key`` table and the serial-vs-pool comparisons in
+``tests/test_parallel_runner.py`` and ``tests/test_fabric.py`` check
+that.  Its fault plan is an argument, never process state, so concurrent
+runs cannot see each other's.  Keep it module-level: process-pool workers
+run it.
 """
 
 from __future__ import annotations
@@ -171,7 +173,6 @@ class Backend(ABC):
 
         The shared execution path every backend funnels through (pool
         backends run this module's :func:`execute_cell` in their workers,
-        which is the same code path).  Lint rule RPR008 anchors its
-        worker-determinism closure here.
+        which is the same code path).
         """
         return execute_cell(job, attempt, timeout, self.fault_plan)

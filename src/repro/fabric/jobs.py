@@ -75,9 +75,8 @@ class SimJob:
     topology when the job is built (:func:`repro.core.simulator.is_smt_run`,
     the rule :class:`~repro.core.simulator.Session` applies), and the job
     runs as one ``Session``.  ``engine`` selects
-    the execution engine (:mod:`repro.kernel`): ``None`` defers to
-    ``REPRO_ENGINE`` then the default, so the choice resolves on the
-    executing worker and is pinned into the cache key.  A job with more
+    the execution engine (:mod:`repro.kernel`): ``None`` is ``spec``, and
+    the resolved name is pinned into the cache key.  A job with more
     than one workload always runs ``spec`` (:func:`repro.kernel.engine_for`);
     pinning ``batched`` on one raises :class:`ValueError` here.
     """
@@ -183,9 +182,9 @@ def job_key(job: SimJob) -> str:
     while jobs differing only in machine graph never collide.  The engine
     is keyed *resolved* (both engines are bit-identical, but separate keys
     keep a per-engine provenance trail and make cross-engine cache hits an
-    explicit non-goal); a job deferring to ``REPRO_ENGINE`` therefore maps
-    to the same entry as one pinning that engine explicitly, and an SMT or
-    multicore job keys ``spec``, the engine that runs it.
+    explicit non-goal); a job with ``engine=None`` therefore maps to the
+    same entry as one pinning ``spec``, and an SMT or multicore job keys
+    ``spec``, the engine that runs it.
     """
     parts = [
         f"cache-version={CACHE_VERSION}",

@@ -11,23 +11,19 @@ Two engines produce bit-identical :class:`~repro.common.stats.SimStats`:
   place.  Every record with any other behaviour falls back to the scalar
   machinery, so all policy semantics stay in exactly one place.
 
-Select an engine per call (``engine=`` on the simulation drivers, ``--engine``
-on the CLIs) or process-wide with the ``REPRO_ENGINE`` environment variable;
-an explicit argument wins over the environment.  Every engine exposes
-``run_until(instructions)``, ``run_records(n)`` (both return cycles) and
-``reset_stats()``; :func:`engine_for` decides which one runs.
+Select an engine per call: ``engine=`` on the simulation drivers, ``SimJob``
+and ``Session``, or ``--engine`` on ``python -m repro``; ``None`` means
+``spec``.  Every engine exposes ``run_until(instructions)``,
+``run_records(n)`` (both return cycles) and ``reset_stats()``;
+:func:`engine_for` decides which one runs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from .batched import BatchedEngine
 from .scalar import ScalarEngine
-
-#: Environment variable naming the default engine for this process.
-ENGINE_ENV = "REPRO_ENGINE"
 
 #: Available engine names; ``spec`` is the executable specification.
 ENGINES = ("spec", "batched")
@@ -36,9 +32,9 @@ DEFAULT_ENGINE = "spec"
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine name: explicit argument > ``REPRO_ENGINE`` > spec."""
+    """Resolve an engine name: ``None`` is the default, ``spec``."""
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or DEFAULT_ENGINE
+        return DEFAULT_ENGINE
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; available: {', '.join(ENGINES)}"
@@ -59,7 +55,6 @@ def engine_for(engine: Optional[str], streams: int) -> str:
 __all__ = [
     "BatchedEngine",
     "DEFAULT_ENGINE",
-    "ENGINE_ENV",
     "ENGINES",
     "ScalarEngine",
     "engine_for",

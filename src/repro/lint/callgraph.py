@@ -1,7 +1,7 @@
 """Whole-program call graph over the linted file set.
 
-The interprocedural rules (RPR007-RPR009) need to know, for a given
-function, which *definitions* a call site may land in.  The simulator's
+RPR009's coverage direction needs to know, for a hot function, which
+*definitions* its call sites may land in.  The simulator's
 hot path is wired through constructor-bound collaborators
 (``self._translate = system.mmu.translate`` in ``__init__``, called later
 as ``self._translate(...)``), so a purely syntactic resolver would lose
@@ -23,19 +23,13 @@ every edge that matters.  This module therefore builds:
   (a deliberate over-approximation: replacement policies, prefetchers
   and backends are duck-typed, so name-match is the honest static
   answer).
-
-``Program.reach`` runs a BFS closure over those edges with hooks the
-rules use: ``blocked`` qualnames that are never entered and ``prune`` for
-call-site suppressions.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from typing import (
     Callable,
-    Deque,
     Dict,
     FrozenSet,
     Iterable,
@@ -43,7 +37,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -56,7 +49,6 @@ Chain = Tuple[str, ...]
 FunctionKey = Tuple[str, str]
 
 _MAX_CHAIN = 16
-_MAX_PATH = 8
 
 #: Names never resolved to definitions: builtins and the mutating methods
 #: of built-in containers.  Deliberately *excludes* ``insert``/``remove``/
@@ -248,27 +240,6 @@ def _collect_aliases(nodes: Iterable[ast.AST]) -> Dict[str, Optional[Chain]]:
     return aliases
 
 
-def _function_locals(fn_node: ast.AST) -> Set[str]:
-    """Parameter and locally-bound names of a function (its own scope)."""
-    names: Set[str] = set()
-    args = getattr(fn_node, "args", None)
-    if args is not None:
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            names.add(arg.arg)
-        if args.vararg is not None:
-            names.add(args.vararg.arg)
-        if args.kwarg is not None:
-            names.add(args.kwarg.arg)
-    for node in scope_nodes(fn_node):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-    return names
-
-
 class Program:
     """Function index + call-graph resolver over one set of file contexts."""
 
@@ -278,10 +249,7 @@ class Program:
         self.by_bare: Dict[str, List[FunctionInfo]] = {}
         self.class_inits: Dict[str, List[FunctionInfo]] = {}
         self.init_bindings: Dict[Tuple[str, str], Dict[str, Chain]] = {}
-        self.module_globals: Dict[str, Set[str]] = {}
-        self.imports: Dict[str, Dict[str, str]] = {}
         self._aliases: Dict[FunctionKey, Dict[str, Optional[Chain]]] = {}
-        self._locals: Dict[FunctionKey, Set[str]] = {}
         self._calls: Dict[FunctionKey, Tuple[CallSite, ...]] = {}
         for ctx in files:
             if ctx.tree is not None:
@@ -291,35 +259,7 @@ class Program:
     # ------------------------------------------------------------------ build
 
     def _index_file(self, ctx: FileContext) -> None:
-        tree = ctx.tree
-        assert tree is not None
-        globals_here: Set[str] = set()
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        globals_here.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                globals_here.add(stmt.target.id)
-        self.module_globals[ctx.relkey] = globals_here
-
-        imports: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        imports[alias.asname] = alias.name
-                    else:
-                        root = alias.name.split(".", 1)[0]
-                        imports[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    imports[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-        self.imports[ctx.relkey] = imports
+        assert ctx.tree is not None
 
         def visit(node: ast.AST, stack: List[str], cls: Optional[str]) -> None:
             for child in ast.iter_child_nodes(node):
@@ -334,7 +274,7 @@ class Program:
                 elif isinstance(child, ast.ClassDef):
                     visit(child, stack + [child.name], child.name)
 
-        visit(tree, [], None)
+        visit(ctx.tree, [], None)
 
     def _bind_constructors(self) -> None:
         """Extract ``self.X = <chain>`` bindings from every ``__init__``."""
@@ -373,13 +313,6 @@ class Program:
         if cached is None:
             cached = _collect_aliases(scope_nodes(fn.node))
             self._aliases[fn.key] = cached
-        return cached
-
-    def locals_of(self, fn: FunctionInfo) -> Set[str]:
-        cached = self._locals.get(fn.key)
-        if cached is None:
-            cached = _function_locals(fn.node)
-            self._locals[fn.key] = cached
         return cached
 
     def canonical(self, fn: FunctionInfo, chain: Chain) -> Chain:
@@ -459,42 +392,6 @@ class Program:
         candidates: List[FunctionInfo] = list(self.by_bare.get(name, ()))
         candidates.extend(self.class_inits.get(name, ()))
         return admit(candidates)
-
-    def reach(
-        self,
-        entries: Iterable[FunctionInfo],
-        module_ok: Optional[Callable[[str], bool]] = None,
-        blocked: FrozenSet[str] = frozenset(),
-        prune: Optional[Callable[[FunctionInfo, CallSite], bool]] = None,
-    ) -> Dict[FunctionKey, Tuple[str, ...]]:
-        """BFS closure: reachable function key -> qualname call path.
-
-        ``blocked`` qualnames are never entered (the kernel's escape edges
-        into the scalar spec); ``prune`` drops individual call edges
-        (suppressions).
-        """
-        paths: Dict[FunctionKey, Tuple[str, ...]] = {}
-        queue: Deque[FunctionInfo] = deque()
-        for fn in entries:
-            paths[fn.key] = (fn.qualname,)
-            queue.append(fn)
-        while queue:
-            fn = queue.popleft()
-            base = paths[fn.key]
-            for site in self.calls(fn):
-                if prune is not None and prune(fn, site):
-                    continue
-                for cand in self.resolve(fn, site, module_ok):
-                    if cand.key in paths:
-                        continue
-                    if cand.qualname in blocked:
-                        continue
-                    if len(base) < _MAX_PATH:
-                        paths[cand.key] = base + (cand.qualname,)
-                    else:
-                        paths[cand.key] = base
-                    queue.append(cand)
-        return paths
 
 
 _PROGRAM_CACHE: Dict[Tuple[int, ...], Tuple[Tuple[FileContext, ...], Program]] = {}

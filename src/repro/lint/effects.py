@@ -1,9 +1,9 @@
-"""Interprocedural effect inference over the call graph.
+"""Per-function effect inference over the call graph.
 
 Every function gets a *direct* effect set — what it writes, classified
-against the simulator's measurement schema — and the rules union those
-sets over :meth:`repro.lint.callgraph.Program.reach` closures.  Three
-effect kinds:
+against the simulator's measurement schema.  RPR009's coverage direction
+reads it: a function that hot code calls and that writes an effect of
+either kind belongs in the hot-path manifest.  Two effect kinds:
 
 * ``stats:<counter>`` — a write to an attribute (or item) whose owner
   chain passes through a stats object (``stats`` / ``_stats`` /
@@ -14,51 +14,21 @@ effect kinds:
   (:data:`~repro.lint.manifest.STATE_SEGMENTS`: tag maps, TLB key maps,
   DRAM open rows), or a call to a recency-stack mutator
   (:data:`~repro.lint.manifest.RECENCY_MUTATORS`).
-* ``env:<what>`` — nondeterminism and shared mutable state: unseeded
-  ``random``/``numpy.random`` APIs, wall-clock ``time`` calls
-  (``perf_counter`` is sanctioned — it feeds reported timings, not
-  simulated state), ``datetime.now``, ``uuid``/``secrets``,
-  ``os.environ`` writes, and writes to module-level mutable globals.
 
-Effects carry a witness (file, function, line) so diagnostics can point
-at the concrete write, and the closure drops effects whose witness line
-carries an ``# repro: allow[<code>]`` suppression — that is the
-*callee-site* suppression the interprocedural rules honour, alongside
-call-site suppression via edge pruning.
+Writes are resolved through local aliases and constructor bindings
+(:meth:`repro.lint.callgraph.Program.canonical`), so ``stats =
+self._stats; stats.hits += 1`` is a ``stats:hits`` effect.  Each effect
+carries a witness (file, function, line).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from . import manifest
-from .callgraph import (
-    CallSite,
-    Chain,
-    FunctionInfo,
-    FunctionKey,
-    Program,
-    _raw_chain,
-    scope_nodes,
-)
+from .callgraph import FunctionInfo, FunctionKey, Program, _raw_chain, scope_nodes
 
-#: RNG constructors that take an explicit seed — allowed in workers.
-_SEEDED_RANDOM = frozenset({"Random"})
-_SEEDED_NP_RANDOM = frozenset({"default_rng", "Generator", "SeedSequence"})
-_FORBIDDEN_TIME = frozenset(
-    {"time", "time_ns", "monotonic", "monotonic_ns", "sleep", "localtime",
-     "gmtime", "ctime"}
-)
 _STATS_OWNERS = frozenset({"stats", "_stats"})
 _STATS_CLASSES = frozenset({"LevelStats", "SimStats"})
 
@@ -71,7 +41,7 @@ class Effect:
     def __init__(
         self, kind: str, name: str, relkey: str, qualname: str, line: int
     ) -> None:
-        self.kind = kind  #: ``stats`` | ``state`` | ``env``
+        self.kind = kind  #: ``stats`` | ``state``
         self.name = name
         self.relkey = relkey
         self.qualname = qualname
@@ -90,7 +60,7 @@ def _is_stats_owner(segment: str) -> bool:
 
 
 class EffectAnalysis:
-    """Per-function effect extraction plus closure unions over a program."""
+    """Per-function effect extraction over a program."""
 
     def __init__(
         self,
@@ -125,11 +95,6 @@ class EffectAnalysis:
         return effects
 
     def _extract(self, fn: FunctionInfo) -> Iterable[Effect]:
-        global_decls: set = set()
-        for node in scope_nodes(fn.node):
-            if isinstance(node, ast.Global):
-                global_decls.update(node.names)
-
         def effect(kind: str, name: str, line: int) -> Effect:
             return Effect(kind, name, fn.relkey, fn.qualname, line)
 
@@ -144,28 +109,20 @@ class EffectAnalysis:
             elif isinstance(node, ast.Delete):
                 targets = list(node.targets)
             for target in targets:
-                found = self._classify_store(fn, target, global_decls)
+                found = self._classify_store(fn, target)
                 if found is not None:
                     yield effect(found[0], found[1], target.lineno)
 
         for site in self.program.calls(fn):
             if site.name in self.recency_mutators:
                 yield effect("state", "recency", site.line)
-            if site.chain is not None:
-                env = self._env_call(fn, site.chain)
-                if env is not None:
-                    yield effect("env", env, site.line)
 
     def _classify_store(
-        self, fn: FunctionInfo, target: ast.expr, global_decls: set
+        self, fn: FunctionInfo, target: ast.expr
     ) -> Optional[Tuple[str, str]]:
-        if isinstance(target, ast.Name):
-            if target.id in global_decls:
-                return ("env", f"global:{target.id}")
-            return None
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                found = self._classify_store(fn, elt, global_decls)
+                found = self._classify_store(fn, elt)
                 if found is not None:
                     return found
             return None
@@ -176,8 +133,8 @@ class EffectAnalysis:
             return None
         # ``self.X = ...`` REBINDS the attribute; expanding it through the
         # constructor binding would conflate "holds this value" with
-        # "mutates this object" (``self._next = FRAME_BASE`` is a read of
-        # the global, not a write).  Mutations *through* the attribute
+        # "mutates this object" (``self._tm = other._tag_maps`` writes no
+        # tag map).  Mutations *through* the attribute
         # (``self._map[k] = v``, ``self.stats.hits += 1``) still expand.
         direct_rebind = (
             isinstance(target, ast.Attribute)
@@ -185,9 +142,6 @@ class EffectAnalysis:
             and raw[0] in ("self", "cls")
         )
         chain = raw if direct_rebind else self.program.canonical(fn, raw)
-        expanded = self._expand_imports(fn, chain)
-        if "environ" in expanded:
-            return ("env", "os.environ")
         last = chain[-1]
         owner = chain[:-1]
         if any(_is_stats_owner(seg) for seg in owner):
@@ -200,93 +154,4 @@ class EffectAnalysis:
             mapped = self.state_segments.get(seg)
             if mapped is not None:
                 return ("state", mapped)
-        root = chain[0]
-        if (
-            root not in ("self", "cls")
-            and root in self.program.module_globals.get(fn.relkey, ())
-            and root not in self.program.locals_of(fn)
-        ):
-            return ("env", f"global:{root}")
         return None
-
-    def _expand_imports(self, fn: FunctionInfo, chain: Chain) -> Chain:
-        imports = self.program.imports.get(fn.relkey, {})
-        bound = imports.get(chain[0])
-        if bound is not None:
-            return tuple(bound.split(".")) + chain[1:]
-        return chain
-
-    def _env_call(self, fn: FunctionInfo, chain: Chain) -> Optional[str]:
-        chain = self._expand_imports(fn, chain)
-        root = chain[0]
-        if root == "random" and len(chain) >= 2:
-            if chain[1] not in _SEEDED_RANDOM:
-                return f"random.{chain[1]}"
-        elif root == "numpy" and len(chain) >= 3 and chain[1] == "random":
-            if chain[2] not in _SEEDED_NP_RANDOM:
-                return f"numpy.random.{chain[2]}"
-        elif root == "time" and len(chain) >= 2:
-            if chain[1] in _FORBIDDEN_TIME:
-                return f"time.{chain[1]}"
-        elif root == "datetime":
-            if chain[-1] in ("now", "utcnow", "today"):
-                return "datetime.now"
-        elif root == "os" and len(chain) >= 2:
-            if chain[1] == "urandom":
-                return "os.urandom"
-            if chain[1] == "environ" and chain[-1] in (
-                "update", "setdefault", "pop", "popitem", "clear"
-            ):
-                return "os.environ"
-        elif root == "uuid" and len(chain) >= 2:
-            if chain[1] in ("uuid1", "uuid4"):
-                return f"uuid.{chain[1]}"
-        elif root == "secrets":
-            return "secrets"
-        return None
-
-    # --------------------------------------------------------------- closure
-
-    def closure(
-        self,
-        entries: Iterable[FunctionInfo],
-        *,
-        code: Optional[str] = None,
-        module_ok: Optional[Callable[[str], bool]] = None,
-        blocked: FrozenSet[str] = frozenset(),
-    ) -> Tuple[Dict[str, Effect], Dict[FunctionKey, Tuple[str, ...]]]:
-        """Union of effects over the reachable set.
-
-        Returns ``(effects_by_ident, call_paths)``.  When ``code`` is
-        given, call edges from lines suppressed for that code are pruned
-        (call-site suppression) and effects whose witness line is
-        suppressed are dropped (callee-site suppression).
-        """
-
-        def prune(caller: FunctionInfo, site: CallSite) -> bool:
-            return code is not None and caller.ctx.is_suppressed(site.line, code)
-
-        paths = self.program.reach(
-            entries,
-            module_ok=module_ok,
-            blocked=blocked,
-            prune=prune if code is not None else None,
-        )
-        effects: Dict[str, Effect] = {}
-        for key in paths:
-            fn = self.program.functions.get(key)
-            if fn is None:
-                continue
-            for eff in self.effects_of(fn):
-                if code is not None and fn.ctx.is_suppressed(eff.line, code):
-                    continue
-                if eff.ident not in effects:
-                    effects[eff.ident] = eff
-        return effects, paths
-
-
-def render_path(path: Tuple[str, ...]) -> str:
-    """Human-readable call chain for diagnostics."""
-    if len(path) <= 1:
-        return path[0] if path else ""
-    return " -> ".join(path)

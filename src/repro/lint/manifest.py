@@ -16,7 +16,7 @@ Functions and classes can also opt in at the definition site:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 #: Functions (qualified as ``Class.method`` or bare function name) that run
 #: per memory reference / per miss.  RPR001 forbids allocation inside them.
@@ -132,12 +132,12 @@ TOPOLOGY_RELKEY_PREFIXES = ("topology/",)
 STATS_RELKEY = "common/stats.py"
 
 # --------------------------------------------------------------------------
-# Whole-program effect analysis (RPR007-RPR009).  See docs/static-analysis.md
-# for the effect model these feed.
+# Whole-program effect analysis (RPR009).  See docs/static-analysis.md for
+# the effect model it feeds.
 
 #: Structure fields whose writes count as ``state:`` effects: cache-line
 #: metadata, TLB-entry fields, the FDIP stream register, and the DRAM
-#: bandwidth-window registers the kernel mirrors on its fast path.
+#: bandwidth-window registers.
 STATE_FIELDS: FrozenSet[str] = frozenset(
     {
         # CacheLine (and MemoryRequest type bits, shared by writebacks)
@@ -174,7 +174,7 @@ STATE_SEGMENTS: Dict[str, str] = {
 
 #: Recency-stack mutators: a *call* to one of these names is a
 #: ``state:recency`` effect (the stacks are the replacement policies'
-#: ground truth, so kernel and scalar paths must both move them).
+#: ground truth).
 RECENCY_MUTATORS: FrozenSet[str] = frozenset(
     {
         "touch",
@@ -184,57 +184,6 @@ RECENCY_MUTATORS: FrozenSet[str] = frozenset(
         "place_above_lru",
     }
 )
-
-
-class ShadowPair(NamedTuple):
-    """One kernel fast path and the scalar spec path it re-implements."""
-
-    kernel: Tuple[str, str]  #: (relkey, qualname) of the fast-path tier
-    spec: Tuple[str, str]  #: (relkey, qualname) of the spec entry it shadows
-
-
-#: RPR007 compares the direct effects of each ``kernel`` body against the
-#: full closure of each ``spec``.  Every call the kernel makes is an escape
-#: into the real machinery — exact by construction, so excluded from parity.
-KERNEL_SPEC_SHADOWS: Tuple[ShadowPair, ...] = (
-    ShadowPair(
-        kernel=("kernel/batched.py", "BatchedEngine._run_block"),
-        spec=("core/cpu.py", "Core.execute"),
-    ),
-)
-
-#: Spec-path effects the kernel fast path legitimately never performs,
-#: with the invariant that justifies each gate.  RPR007 reports a stale
-#: gate when the spec stops writing the effect or the kernel starts.
-KERNEL_GATED_EFFECTS: Dict[str, str] = {
-    "stats:misses": "fast tiers resolve full-hit records; misses escape to Core.execute",
-    "stats:miss_latency_sum": "accrued only on misses, which escape to the scalar path",
-    "stats:cat_misses": "per-category miss split moves only on the escaped miss path",
-    "stats:writebacks": "dirty victims defer to the real eviction machinery inline",
-    "stats:front_stall_cycles": "provably zero for full-hit records (no front-end miss)",
-    "stats:counters": "SimStats.bump cold counters (walks, STLB prefetches) are miss-path",
-    "state:key_maps": "TLB insert is miss-path only; fast tiers never install entries",
-    "state:vpn": "TLBEntry fields are written by TLB.insert on the miss path",
-    "state:pfn": "TLBEntry fields are written by TLB.insert on the miss path",
-    "state:page_size": "TLBEntry fields are written by TLB.insert on the miss path",
-    "state:access_type": "TLBEntry fields are written by TLB.insert on the miss path",
-    "state:open_rows": "DRAM row-buffer state moves only on latency-accounted accesses",
-}
-
-#: RPR008 entry points: functions shipped to pool workers.  Everything
-#: reachable from them must stay deterministic.  ``Backend.execute`` is
-#: the fabric's execution seam (every backend funnels attempts through
-#: it); ``execute_cell`` is the module-level body it delegates to, which
-#: is what process-pool workers run.  RPR009 cross-checks that both names
-#: still resolve.
-WORKER_ENTRY_POINTS: Dict[str, FrozenSet[str]] = {
-    "fabric/backends/base.py": frozenset({"Backend.execute", "execute_cell"}),
-}
-
-#: Relkey prefixes whose code RPR008 does not descend into: the
-#: deterministic fault-injection package is *designed* to sleep and read
-#: the environment, and seeds itself from the injection plan.
-WORKER_SANCTIONED_PREFIXES: Tuple[str, ...] = ("faults/",)
 
 #: RPR009(b) exemptions: relkey prefixes and qualname prefixes whose
 #: functions need not be listed in HOT_FUNCTIONS even when hot code calls

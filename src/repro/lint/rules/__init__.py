@@ -7,13 +7,11 @@ from typing import List
 from .allocations import AllocationRule
 from .base import Rule
 from .construction import TopologyConstructionRule
-from .effects_parity import EffectParityRule
 from .enumcmp import EnumComparisonRule
 from .manifest_liveness import ManifestLivenessRule
 from .params import ParamsImmutabilityRule
 from .slots import SlotsRule
 from .stats_reset import StatsResetRule
-from .worker_safety import WorkerSafetyRule
 
 
 def all_rules() -> List[Rule]:
@@ -25,15 +23,12 @@ def all_rules() -> List[Rule]:
         StatsResetRule(),
         ParamsImmutabilityRule(),
         TopologyConstructionRule(),
-        EffectParityRule(),
-        WorkerSafetyRule(),
         ManifestLivenessRule(),
     ]
 
 
 __all__ = [
     "AllocationRule",
-    "EffectParityRule",
     "EnumComparisonRule",
     "ManifestLivenessRule",
     "ParamsImmutabilityRule",
@@ -41,6 +36,5 @@ __all__ = [
     "SlotsRule",
     "StatsResetRule",
     "TopologyConstructionRule",
-    "WorkerSafetyRule",
     "all_rules",
 ]

@@ -4,12 +4,11 @@ Two directions, both active only when the manifest module itself is part
 of the linted file set (whole-tree lints), so single-file fixtures don't
 false-fire:
 
-* **(a) liveness** — every ``HOT_FUNCTIONS`` and ``WORKER_ENTRY_POINTS``
-  entry (and every name in ``HOT_CLASSES``/``STATS_BEARING``/
-  ``ENUM_CLASSES``/``TOPOLOGY_CONSTRUCTORS``) must resolve to a real
-  definition.  A renamed or deleted function used to skip silently,
-  quietly shrinking the RPR001 allocation contract (or RPR008's
-  worker-determinism closure); now it is a hard error anchored at the
+* **(a) liveness** — every ``HOT_FUNCTIONS`` entry (and every name in
+  ``HOT_CLASSES``/``STATS_BEARING``/``ENUM_CLASSES``/
+  ``TOPOLOGY_CONSTRUCTORS``) must resolve to a real definition.  A
+  renamed or deleted function used to skip silently, quietly shrinking
+  the RPR001 allocation contract; now it is a hard error anchored at the
   manifest line naming it.
 * **(b) coverage** — functions that hot code calls (per the call graph)
   and that write stats/state effects belong in the manifest too;
@@ -53,14 +52,12 @@ class ManifestLivenessRule(Rule):
         exempt_prefixes: Optional[Tuple[str, ...]] = None,
         exempt_qual_prefixes: Optional[Tuple[str, ...]] = None,
         manifest_relkey: Optional[str] = None,
-        worker_entry_points: Optional[Dict[str, FrozenSet[str]]] = None,
     ) -> None:
         self._hot_functions = hot_functions
         self._hot_names = hot_names
         self._exempt_prefixes = exempt_prefixes
         self._exempt_qual_prefixes = exempt_qual_prefixes
         self._manifest_relkey = manifest_relkey
-        self._worker_entry_points = worker_entry_points
 
     def check(self, files: Sequence[FileContext]) -> Iterator[Diagnostic]:
         manifest_relkey = (
@@ -76,11 +73,8 @@ class ManifestLivenessRule(Rule):
             if self._hot_functions is not None
             else manifest.HOT_FUNCTIONS
         )
-        program = program_for(files)
-        yield from self._check_liveness(
-            files, manifest_ctx, hot_functions, program
-        )
-        yield from self._check_coverage(files, hot_functions, program)
+        yield from self._check_liveness(files, manifest_ctx, hot_functions)
+        yield from self._check_coverage(files, hot_functions, program_for(files))
 
     # ------------------------------------------------------------ (a) liveness
 
@@ -89,7 +83,6 @@ class ManifestLivenessRule(Rule):
         files: Sequence[FileContext],
         manifest_ctx: FileContext,
         hot_functions: Dict[str, FrozenSet[str]],
-        program: Program,
     ) -> Iterator[Diagnostic]:
         for relkey, quals in sorted(hot_functions.items()):
             ctx = find_file(files, relkey)
@@ -135,33 +128,6 @@ class ManifestLivenessRule(Rule):
                 f"manifest names class '{name}' which is not defined "
                 "anywhere in the linted tree",
             )
-        # RPR008 anchors: a renamed worker entry point would silently empty
-        # the worker-determinism closure, so unresolved entries are errors.
-        worker_entries = (
-            self._worker_entry_points
-            if self._worker_entry_points is not None
-            else manifest.WORKER_ENTRY_POINTS
-        )
-        for relkey, quals in sorted(worker_entries.items()):
-            ctx = find_file(files, relkey)
-            if ctx is None or ctx.tree is None:
-                yield self.diag(
-                    manifest_ctx,
-                    _constant_line(manifest_ctx, relkey),
-                    f"WORKER_ENTRY_POINTS names module '{relkey}' which is "
-                    "not in the linted tree",
-                )
-                continue
-            defined = {qual for qual, _ in iter_functions(ctx.tree)}
-            for qual in sorted(quals):
-                if qual not in defined:
-                    yield self.diag(
-                        manifest_ctx,
-                        _constant_line(manifest_ctx, qual),
-                        f"WORKER_ENTRY_POINTS entry '{relkey}:{qual}' does "
-                        "not resolve to a definition — RPR008's worker "
-                        "closure no longer covers it",
-                    )
 
     # ----------------------------------------------------------- (b) coverage
 
@@ -219,8 +185,7 @@ class ManifestLivenessRule(Rule):
                         continue
                     if cand.ctx.is_hot_marked(cand.lineno):
                         continue
-                    effects = analysis.effects_of(cand)
-                    if not any(e.kind in ("stats", "state") for e in effects):
+                    if not analysis.effects_of(cand):
                         continue
                     reported.add(cand.key)
                     yield self.diag(

@@ -96,6 +96,15 @@ class TestMain:
         assert f"topology '{topology}' has 2 cores" in err
         assert "single-core presets: table1, split-stlb, no-llc" in err
 
+    def test_figure_cli_help_lists_single_core_presets(self, capsys, monkeypatch):
+        from repro.experiments import __main__ as figure_cli
+
+        monkeypatch.setenv("COLUMNS", "200")  # no wrap inside a preset name
+        assert figure_cli.main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "one of: table1, split-stlb, no-llc" in out
+        assert "multicore" not in out and "shared-l2" not in out
+
     def test_energy_column(self, capsys):
         rc = main([
             "--techniques", "lru", "--energy",

@@ -5,15 +5,18 @@ statistics — not statistically similar, identical.  This suite enforces
 that promise the same way the golden tests pin the spec itself:
 
 * a Hypothesis sweep over (technique, workload kind, seed, page mix) runs
-  both engines over the same window and requires the full metric report —
-  every counter, every derived rate, the cycle total — to match exactly;
+  both engines over the same window and requires every ``LevelStats``
+  slot of every level, every ``SimStats`` counter, the cycle total and
+  the full metric report to match exactly;
 * directed cases cover the behaviours most likely to break block batching
   (phase changes mid-block, 2 MB page mixes, store-heavy streams, the
   topologies that disable the inline prefetch chain or split the STLB,
   and an L1I so small that FDIP fills land in the set just touched);
-* engine selection plumbing (``resolve_engine``, ``REPRO_ENGINE``, the
-  result-cache key) is pinned so a config typo cannot silently fall back
-  to the wrong engine or serve one engine's cache entry to the other.
+* engine selection plumbing (``resolve_engine``, the result-cache key) is
+  pinned so a typo cannot silently fall back to the wrong engine or serve
+  one engine's cache entry to the other;
+* a drift canary plants each of a set of kernel faults in a copy of the
+  package and requires the differential to catch it.
 
 Example intensity follows the shared tier profiles
 (``REPRO_HYPOTHESIS_PROFILE``, see ``tests/stateful/profiles.py``), and
@@ -21,32 +24,34 @@ the whole file runs under ``REPRO_CHECK=1`` in CI so the differential
 also executes with the shadow-oracle structures installed.
 """
 
+import os
 import random
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.stats import LevelStats
 from repro.common.types import TraceRecord
 from repro.core.cpu import Core
 from repro.core.simulator import simulate
 from repro.core.system import System
 from repro.experiments.runner import config_for
 from repro.fabric import SimJob, job_key
-from repro.kernel import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINES,
-    BatchedEngine,
-    resolve_engine,
-)
+from repro.kernel import DEFAULT_ENGINE, ENGINES, BatchedEngine, resolve_engine
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.server import ServerWorkload
 from repro.workloads.speclike import SpecLikeWorkload
 
 from .stateful.profiles import ACTIVE_PROFILE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Examples per tier for the full-system differential (each example runs
 #: two complete simulations, so these are deliberately below the stateful
@@ -100,9 +105,21 @@ def run_both(technique, kind, seed, large_page_percent=0,
     return results
 
 
+def level_slots(stats):
+    """Every ``LevelStats`` slot of every level, keyed ``(level, slot)``."""
+    return {
+        (name, slot): getattr(level, slot)
+        for name, level in stats.levels.items()
+        for slot in LevelStats.__slots__
+    }
+
+
 def assert_identical(spec_result, batched_result):
-    assert batched_result.stats.cycles == spec_result.stats.cycles
-    assert batched_result.stats.instructions == spec_result.stats.instructions
+    spec, batched = spec_result.stats, batched_result.stats
+    assert batched.cycles == spec.cycles
+    assert batched.instructions == spec.instructions
+    assert level_slots(batched) == level_slots(spec)
+    assert batched.counters == spec.counters
     assert batched_result.metrics == spec_result.metrics
 
 
@@ -191,26 +208,12 @@ class TestCoverage:
 
 
 class TestResolveEngine:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine(None) == DEFAULT_ENGINE
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "batched")
-        assert resolve_engine(None) == "batched"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "batched")
-        assert resolve_engine("spec") == "spec"
+    def test_default(self):
+        assert resolve_engine(None) == DEFAULT_ENGINE == "spec"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("vectorized")
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "turbo")
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine(None)
 
 
 class TestJobKeyEngine:
@@ -219,14 +222,12 @@ class TestJobKeyEngine:
         return SimJob(config_for("lru"), (workload,), 1_000, 4_000,
                       label="lru", engine=engine)
 
-    def test_engines_get_distinct_cache_keys(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_engines_get_distinct_cache_keys(self):
         assert job_key(self._job("spec")) != job_key(self._job("batched"))
 
-    def test_none_resolves_to_default_key(self, monkeypatch):
+    def test_none_resolves_to_default_key(self):
         # A job built without an engine must share its cache entry with a
         # job pinning the resolved default explicitly.
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
         assert job_key(self._job(None)) == job_key(self._job(DEFAULT_ENGINE))
 
     def test_invalid_engine_rejected_at_build_time(self):
@@ -244,3 +245,64 @@ class TestReproCheckSmoke:
             "itp+xptp", "server", 7, warmup=1_000, measure=4_000
         )
         assert_identical(spec_result, batched_result)
+
+
+#: Kernel lines whose removal must break bit-identity, one per effect kind
+#: the fast path mirrors: level counters the metric report leaves out
+#: (evictions, prefetch fills), line metadata (prefetched, dirty), recency
+#: (an L1D touch) and the DRAM bandwidth window of the inline prefetch
+#: chain.  Each needle occurs exactly once in ``kernel/batched.py``.
+KERNEL_FAULTS = {
+    "l1i-evictions": "l1i_stats.evictions += evict_n",
+    "l1i-prefetch-fills": "l1i_stats.prefetch_fills += pf_fill",
+    "l1d-prefetched-bit": "dline.prefetched = False",
+    "l1d-dirty-bit": "dline.dirty = True",
+    "l1d-recency": "l1d_stacks[dcs].touch(dcw)",
+    "dram-window": "dram._window_accesses += 1",
+}
+
+#: The ``split-stlb`` cell of :meth:`TestDifferential.test_topology`, run
+#: against whichever ``repro`` package ``PYTHONPATH`` names.
+CANARY_CELL = """
+import sys
+import repro
+assert repro.__file__.startswith(sys.argv[1]), repro.__file__
+from tests.test_kernel_diff import assert_identical, run_both
+assert_identical(*run_both("itp+xptp", "server", 9, topology="split-stlb"))
+"""
+
+
+def run_canary_cell(tmp_path, needle=None):
+    """Copy the package, replace the ``needle`` line with ``pass`` and run
+    the differential cell on the copy; returns the subprocess result."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if needle is not None:
+        target = src / "repro" / "kernel" / "batched.py"
+        lines = target.read_text().splitlines(keepends=True)
+        hits = [i for i, line in enumerate(lines) if needle in line]
+        assert len(hits) == 1, f"needle {needle!r} occurs {len(hits)} times"
+        line = lines[hits[0]]
+        lines[hits[0]] = line[: len(line) - len(line.lstrip())] + "pass\n"
+        target.write_text("".join(lines))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", CANARY_CELL, str(src)],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+
+
+class TestDriftCanary:
+    """Each planted kernel fault must fail the differential; the unmutated
+    copy is the control that shows the harness itself passes."""
+
+    def test_unmutated_copy_passes(self, tmp_path):
+        result = run_canary_cell(tmp_path)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("needle", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
+    def test_planted_fault_is_caught(self, tmp_path, needle):
+        result = run_canary_cell(tmp_path, needle)
+        assert result.returncode != 0
+        assert "AssertionError" in result.stderr, result.stderr

@@ -329,11 +329,10 @@ class TestRunnerAndCLI:
             "RPR004",
             "RPR005",
             "RPR006",
-            "RPR007",
-            "RPR008",
             "RPR009",
         ):
             assert code in out
+        assert "RPR007" not in out and "RPR008" not in out
 
 
 class TestTreeIsViolationFree:

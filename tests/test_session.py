@@ -15,7 +15,7 @@ from repro.common.params import scaled_config
 from repro.core.simulator import Session, is_smt_run, simulate, simulate_multicore, simulate_smt
 from repro.experiments.runner import config_for
 from repro.fabric import SimJob, job_key
-from repro.kernel import ENGINE_ENV, BatchedEngine, ScalarEngine, engine_for
+from repro.kernel import BatchedEngine, ScalarEngine, engine_for
 from repro.topology.presets import make_topology, table1
 from repro.workloads.server import ServerWorkload
 
@@ -28,13 +28,12 @@ def small(seed):
 
 
 class TestEngineFor:
-    def test_one_stream_follows_the_request(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "batched")
-        assert engine_for(None, 1) == "batched"
+    def test_one_stream_follows_the_request(self):
+        assert engine_for("batched", 1) == "batched"
         assert engine_for("spec", 1) == "spec"
+        assert engine_for(None, 1) == "spec"
 
-    def test_default_with_many_streams_runs_spec(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "batched")
+    def test_default_with_many_streams_runs_spec(self):
         assert engine_for(None, 2) == "spec"
         assert engine_for(None, 4) == "spec"
 
@@ -92,19 +91,12 @@ class TestMultiStreamEngine:
                    topology="multicore-2", engine="batched")
 
     @pytest.mark.parametrize("topology", [None, "multicore-2"])
-    def test_default_under_batched_env_keys_spec(self, monkeypatch, topology):
+    def test_default_keys_spec(self, topology):
         pair = (small(1), small(2))
         pinned = SimJob(scaled_config(), pair, 100, 200, topology=topology,
                         engine="spec")
-        monkeypatch.setenv(ENGINE_ENV, "batched")
         default = SimJob(scaled_config(), pair, 100, 200, topology=topology)
         assert job_key(default) == job_key(pinned)
-
-    def test_default_under_batched_env_runs_spec(self, monkeypatch):
-        spec = simulate_smt(scaled_config(), [small(1), small(2)], 1_000, 4_000)
-        monkeypatch.setenv(ENGINE_ENV, "batched")
-        default = simulate_smt(scaled_config(), [small(1), small(2)], 1_000, 4_000)
-        assert default.metrics == spec.metrics
 
     def test_cli_exits_2_on_batched_multicore(self, capsys):
         status = cli_main(["--topology", "multicore-2", "--engine", "batched",

@@ -67,11 +67,14 @@ class TestLevelStats:
     def test_reset(self):
         lvl = LevelStats("L1D")
         lvl.record_access("d", hit=False, miss_latency=10)
-        lvl.evictions = 3
+        numeric = [slot for slot in LevelStats.__slots__
+                   if isinstance(getattr(lvl, slot), int)]
+        for value, slot in enumerate(numeric, start=3):
+            setattr(lvl, slot, value)
         lvl.reset()
-        assert lvl.accesses == 0
-        assert lvl.misses == 0
-        assert lvl.evictions == 0
+        assert lvl.name == "L1D"
+        assert {slot: getattr(lvl, slot) for slot in numeric} == dict.fromkeys(numeric, 0)
+        assert lvl.category_accesses == {}
         assert lvl.category_misses == {}
 
 

@@ -1,5 +1,7 @@
 """Unit tests for STLB replacement policies — iTP semantics per Figure 5."""
 
+import random
+
 import pytest
 
 from repro.common.params import ITPConfig
@@ -23,6 +25,28 @@ def fill(policy, ents, types):
     for way, t in enumerate(types):
         ents[way].access_type = t
         policy.on_insert(0, way, ents, t)
+
+
+def victim_trace(policy, steps=400):
+    """The victims ``policy`` picks on one full set of mixed translations
+    under a fixed stream of hits and misses."""
+    stream = random.Random(0)
+    ents = entries(policy.associativity)
+    fill(policy, ents, [stream.choice((I, D)) for _ in ents])
+    victims = []
+    for step in range(steps):
+        t = stream.choice((I, D))
+        if stream.random() < 0.5:
+            way = stream.randrange(len(ents))
+            policy.on_hit(0, way, ents, ents[way].access_type)
+            continue
+        policy.on_miss(0, step << 12, t)
+        way = policy.victim(0, ents)
+        policy.on_evict(0, way, ents)
+        ents[way].access_type, ents[way].vpn = t, 1_000 + step
+        policy.on_insert(0, way, ents, t)
+        victims.append(way)
+    return victims
 
 
 class TestTLBLRU:
@@ -241,6 +265,17 @@ class TestTLBRegistry:
     def test_itp_config_passthrough(self):
         policy = make_tlb_policy("itp", 8, 12, itp_config=ITPConfig(insert_depth_n=1, data_promote_m=2))
         assert policy.config.insert_depth_n == 1
+
+    @pytest.mark.parametrize("name", available_tlb_policies())
+    def test_victims_are_a_function_of_the_arguments(self, name):
+        # A cell's result must depend on the job alone: two policies built
+        # alike, driven alike, evict alike (an unseeded RNG would not).
+        first, second = (
+            victim_trace(make_tlb_policy(name, 1, 12, p_evict_data=0.5))
+            for _ in range(2)
+        )
+        assert first == second
+        assert len(set(first)) > 1
 
     def test_problru_p_passthrough(self):
         policy = make_tlb_policy("problru", 8, 4, p_evict_data=0.3)
