@@ -572,7 +572,11 @@ class BatchedEngine:
                                     issue_d = True
                                     break
                                 t2 += 1
-                        sc.append((dts, dtw, dcs, dcw, dla, va, k >= nld, nl_ok))
+                        # One scratch tuple per data access of a hit-tier
+                        # record: the replay loop unpacks the eight fields
+                        # together, and eight parallel appends would cost
+                        # more calls than the tuple costs to build.
+                        sc.append((dts, dtw, dcs, dcw, dla, va, k >= nld, nl_ok))  # repro: allow[RPR001]
                         k += 1
                     else:
                         hit = True

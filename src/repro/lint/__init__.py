@@ -12,12 +12,14 @@ RPR002    hot-path mutable classes declare ``__slots__``
 RPR003    enum members compared with ``is`` in hot modules
 RPR004    counters declared in the stats schema and cleared by reset()
 RPR005    Table 1 parameters never mutated outside config construction
+RPR006    hardware leaf structures constructed only by ``repro.topology``
 ========  ===========================================================
 
-See ``docs/static-analysis.md`` for the rule catalog, the ``# repro: hot``
-marker and the ``# repro: allow[RPRnnn]`` suppression syntax.  The runtime
-complement (differential checking under ``REPRO_CHECK=1``) lives in
-:mod:`repro.common.invariants`.
+See ``docs/static-analysis.md`` for the rule catalog and the
+``# repro: allow[RPRnnn]`` suppression syntax.  The hot-path manifest the
+rules read is checked against traced runs by ``tests/test_manifest.py``;
+the runtime complement (differential checking under ``REPRO_CHECK=1``)
+lives in :mod:`repro.common.invariants`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Per-file analysis context: parsed tree, suppressions and hot markers."""
+"""Per-file analysis context: parsed tree and suppressions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import re
 from typing import Dict, List, Optional, Sequence, Set
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
-_HOT_RE = re.compile(r"#\s*repro:\s*hot\b")
 
 
 def relkey_for(path: str) -> str:
@@ -39,15 +38,11 @@ class FileContext:
             self.syntax_error = exc
         #: line -> rule codes suppressed there via ``# repro: allow[...]``.
         self.suppressions: Dict[int, Set[str]] = {}
-        #: lines carrying a ``# repro: hot`` marker.
-        self.hot_lines: Set[int] = set()
         for lineno, text in enumerate(self.lines, start=1):
             match = _ALLOW_RE.search(text)
             if match:
                 codes = {c.strip() for c in match.group(1).split(",") if c.strip()}
                 self.suppressions.setdefault(lineno, set()).update(codes)
-            if _HOT_RE.search(text):
-                self.hot_lines.add(lineno)
 
     def is_suppressed(self, line: int, code: str) -> bool:
         """True if ``code`` is allowed on ``line`` or the line above it."""
@@ -55,10 +50,6 @@ class FileContext:
             if code in self.suppressions.get(lineno, ()):
                 return True
         return False
-
-    def is_hot_marked(self, line: int) -> bool:
-        """True if a ``# repro: hot`` marker sits on ``line`` or above it."""
-        return line in self.hot_lines or (line - 1) in self.hot_lines
 
 
 def find_file(files: Sequence[FileContext], relkey: str) -> Optional[FileContext]:

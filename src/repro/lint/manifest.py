@@ -1,27 +1,30 @@
 """Hot-path manifest: what the simulator promises about its fast paths.
 
-PR 2's optimisation contract lives here as data so ``repro.lint`` can
-enforce it structurally.  Keys are *relkeys* — paths relative to the
-``repro`` package with ``/`` separators (``cache/cache.py``) — which makes
-the manifest independent of where the tree is checked out.
+The optimisation contract lives here as data so ``repro.lint`` can enforce
+it structurally and ``tests/test_manifest.py`` can check it against traced
+runs.  Keys are *relkeys* — paths relative to the ``repro`` package with
+``/`` separators (``cache/cache.py``) — which makes the manifest
+independent of where the tree is checked out.
 
-Functions and classes can also opt in at the definition site:
-
-* ``# repro: hot`` on (or immediately above) a ``def`` line marks the
-  function hot for RPR001 without a manifest entry;
-* ``# repro: allow[RPRnnn]`` on (or immediately above) a flagged line
-  suppresses that rule there — every suppression should carry a rationale
-  comment, and ``docs/static-analysis.md`` catalogues the sanctioned ones.
+``HOT_FUNCTIONS`` is the one place to declare a function hot.  A
+``# repro: allow[RPRnnn]`` comment on (or immediately above) a flagged
+line suppresses that rule there — every suppression should carry a
+rationale comment, and ``docs/static-analysis.md`` catalogues the
+sanctioned ones.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Tuple
 
-#: Functions (qualified as ``Class.method`` or bare function name) that run
-#: per memory reference / per miss.  RPR001 forbids allocation inside them.
+#: Functions (qualified as ``Class.method``, ``outer.inner`` or bare
+#: function name) that run per memory reference / per miss.  RPR001 forbids
+#: allocation inside them; ``tests/test_manifest.py`` requires every entry
+#: to resolve and every hot-module function they are traced calling to be
+#: listed here (or exempt, below).
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "core/cpu.py": frozenset({"Core.execute", "Core._data_access"}),
+    "core/simulator.py": frozenset({"tagged_size_policy.policy"}),
     "cache/cache.py": frozenset(
         {
             "SetAssociativeCache.access",
@@ -41,16 +44,33 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         }
     ),
     "tlb/tlb.py": frozenset(
-        {"TLB.lookup", "TLB.insert", "TLB.record_miss", "TLB._evict"}
+        {
+            "TLB.lookup",
+            "TLB.insert",
+            "TLB.record_miss",
+            "TLB.probe",
+            "TLB._evict",
+            "TLB._find_invalid_way",
+            "_key",
+        }
     ),
     "tlb/entry.py": frozenset({"TLBEntry.invalidate"}),
-    "tlb/hierarchy.py": frozenset({"MMU.translate", "MMU._account_translation"}),
+    "tlb/hierarchy.py": frozenset(
+        {
+            "MMU.translate",
+            "MMU.take_stlb_miss_events",
+            "MMU._account_translation",
+            "MMU._stlb_for",
+            "MMU._stlb_prefetch",
+        }
+    ),
     "core/adaptive.py": frozenset({"AdaptiveXPTPController.on_instructions"}),
     "common/recency.py": frozenset(
         {
             "RecencyStack.touch",
             "RecencyStack.remove",
             "RecencyStack.discard",
+            "RecencyStack.lru_way",
             "RecencyStack.place_at_depth",
             "RecencyStack.place_above_lru",
             "RecencyStack.ways_from_lru",
@@ -59,6 +79,26 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "kernel/batched.py": frozenset({"BatchedEngine._run_block"}),
     "common/stats.py": frozenset({"categorize", "SimStats.bump"}),
     "ptw/walker.py": frozenset({"PageTableWalker.walk"}),
+    "ptw/page_table.py": frozenset(
+        {
+            "PageTable.walk_path",
+            "PageTable._map_leaf",
+            "PageTable._alloc_table",
+            "PageTable._alloc_data_frames",
+            "PageTable._entry_address",
+            "level_index",
+        }
+    ),
+    "ptw/psc.py": frozenset(
+        {
+            "SplitPSC.deepest_hit",
+            "SplitPSC.fill",
+            "SplitPSC.key_for",
+            "PageStructureCache.lookup",
+            "PageStructureCache.insert",
+            "PageStructureCache._set_for",
+        }
+    ),
     "mem/dram.py": frozenset(
         {"DRAM.access", "DRAM._row_buffer_latency", "DRAM.note_instructions"}
     ),
@@ -85,7 +125,8 @@ HOT_CLASSES: FrozenSet[str] = frozenset(
 #: paths (they are IntEnums, so ``==`` would go through ``__eq__``).
 ENUM_CLASSES: FrozenSet[str] = frozenset({"AccessType", "RequestType", "PageSize"})
 
-#: Relkey prefixes of the modules the hot-path rules (RPR003/RPR004) scan.
+#: Relkey prefixes of the modules the hot-path rules (RPR003/RPR004) scan,
+#: and whose functions hot code may call only if they are listed above.
 #: Analysis, experiments, workloads and the linter itself are cold code.
 HOT_MODULE_PREFIXES = (
     "common/",
@@ -131,74 +172,18 @@ TOPOLOGY_RELKEY_PREFIXES = ("topology/",)
 #: Relkey of the stats schema module RPR004 validates counters against.
 STATS_RELKEY = "common/stats.py"
 
-# --------------------------------------------------------------------------
-# Whole-program effect analysis (RPR009).  See docs/static-analysis.md for
-# the effect model it feeds.
-
-#: Structure fields whose writes count as ``state:`` effects: cache-line
-#: metadata, TLB-entry fields, the FDIP stream register, and the DRAM
-#: bandwidth-window registers.
-STATE_FIELDS: FrozenSet[str] = frozenset(
-    {
-        # CacheLine (and MemoryRequest type bits, shared by writebacks)
-        "valid",
-        "tag",
-        "dirty",
-        "prefetched",
-        "is_pte",
-        "translation_type",
-        # TLBEntry
-        "vpn",
-        "pfn",
-        "page_size",
-        "access_type",
-        # FDIP next-line stream register
-        "_last_line",
-        # DRAM contention window
-        "_window_accesses",
-        "_window_instructions",
-        "_queue_delay",
-    }
-)
-
-#: Chain segments that mark a write as mutating an indexed structure map
-#: (``tm[tag] = way`` through a ``_tag_maps`` alias, TLB key maps, DRAM
-#: open-row registry), mapped to the effect label they produce.
-STATE_SEGMENTS: Dict[str, str] = {
-    "_tag_maps": "tag_maps",
-    "tag_maps": "tag_maps",
-    "_key_maps": "key_maps",
-    "key_maps": "key_maps",
-    "_open_rows": "open_rows",
-}
-
-#: Recency-stack mutators: a *call* to one of these names is a
-#: ``state:recency`` effect (the stacks are the replacement policies'
-#: ground truth).
-RECENCY_MUTATORS: FrozenSet[str] = frozenset(
-    {
-        "touch",
-        "remove",
-        "discard",
-        "place_at_depth",
-        "place_above_lru",
-    }
-)
-
-#: RPR009(b) exemptions: relkey prefixes and qualname prefixes whose
-#: functions need not be listed in HOT_FUNCTIONS even when hot code calls
-#: them.  Policies and prefetchers are a duck-typed dispatch surface
-#: (covered by the stateful suites); ``Naive*``/``Checked*`` classes are
-#: the REPRO_CHECK shadow oracles, deliberately cold.
+#: Exemptions from the traced coverage check: relkey prefixes and qualname
+#: prefixes whose functions need not be listed in HOT_FUNCTIONS even when
+#: hot code calls them.  Replacement policies and the cache and STLB
+#: prefetchers are a duck-typed dispatch surface, one implementation per
+#: configured name, covered by the stateful and policy suites instead;
+#: ``Naive*``/``Checked*`` classes are the REPRO_CHECK shadow oracles,
+#: deliberately cold.
 HOT_CALLEE_EXEMPT_PREFIXES: Tuple[str, ...] = (
     "replacement/",
     "cache/prefetch/",
+    "tlb/prefetch.py",
     "tlb/policies/",
     "common/invariants.py",
 )
 HOT_CALLEE_EXEMPT_QUAL_PREFIXES: Tuple[str, ...] = ("Naive", "Checked")
-
-#: Relkey of this manifest inside the linted tree.  RPR009 only runs its
-#: liveness checks when the manifest itself is part of the linted file
-#: set (whole-tree lints), so single-file fixtures don't false-fire.
-MANIFEST_RELKEY = "lint/manifest.py"

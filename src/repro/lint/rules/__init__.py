@@ -8,7 +8,6 @@ from .allocations import AllocationRule
 from .base import Rule
 from .construction import TopologyConstructionRule
 from .enumcmp import EnumComparisonRule
-from .manifest_liveness import ManifestLivenessRule
 from .params import ParamsImmutabilityRule
 from .slots import SlotsRule
 from .stats_reset import StatsResetRule
@@ -23,14 +22,12 @@ def all_rules() -> List[Rule]:
         StatsResetRule(),
         ParamsImmutabilityRule(),
         TopologyConstructionRule(),
-        ManifestLivenessRule(),
     ]
 
 
 __all__ = [
     "AllocationRule",
     "EnumComparisonRule",
-    "ManifestLivenessRule",
     "ParamsImmutabilityRule",
     "Rule",
     "SlotsRule",

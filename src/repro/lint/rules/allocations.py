@@ -1,11 +1,14 @@
 """RPR001 — no object allocation on hot paths.
 
-Functions named in :data:`repro.lint.manifest.HOT_FUNCTIONS` (or marked
-``# repro: hot``) run per memory reference or per miss; PR 2's throughput
-depends on them allocating nothing.  Flagged constructs:
+Functions named in :data:`repro.lint.manifest.HOT_FUNCTIONS` run per
+memory reference or per miss; the simulator's throughput depends on them
+allocating nothing.  Flagged constructs:
 
 * ``dict``/``list``/``set`` displays and comprehensions/generator
   expressions;
+* tuple displays that are loaded and not all constants (``(set, tag)``
+  builds a tuple per evaluation; ``(1, 2)`` is folded at compile time, and
+  an unpacking target ``a, b = ...`` stores rather than builds);
 * f-strings (``JoinedStr`` builds a new ``str`` per evaluation);
 * lambdas and nested ``def`` (closure objects);
 * calls to the allocating builtins (``dict``, ``list``, ``set``,
@@ -13,7 +16,8 @@ depends on them allocating nothing.  Flagged constructs:
   construction by convention).
 
 ``raise``/``assert`` subtrees are exempt: error paths never execute in a
-correct run, and their f-strings are the diagnostic payload.  Sanctioned
+correct run, and their f-strings are the diagnostic payload.  Annotations
+(``-> Union[int, float]``) are exempt too: they are never evaluated per call.  Sanctioned
 allocations (one result object per miss, say) carry
 ``# repro: allow[RPR001]`` with a rationale comment.
 """
@@ -21,7 +25,7 @@ allocations (one result object per miss, say) carry
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from .. import manifest
 from ..context import FileContext
@@ -40,17 +44,47 @@ _COMPREHENSIONS = {
 _DISPLAYS = {ast.Dict: "dict display", ast.List: "list display", ast.Set: "set display"}
 
 
+def _is_constant(node: ast.expr) -> bool:
+    """True for constants and (nested) tuples of them: folded at compile time."""
+    if isinstance(node, ast.Tuple):
+        return all(_is_constant(elt) for elt in node.elts)
+    return isinstance(node, ast.Constant)
+
+
+def _annotations(func: ast.AST) -> Set[int]:
+    """``id``s of every annotation subtree under ``func``."""
+    found: Set[int] = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        if annotation is not None:
+            found.add(id(annotation))
+    return found
+
+
 def _scan(func: ast.AST) -> List[Tuple[int, str]]:
-    """Allocation sites inside ``func``, skipping raise/assert subtrees."""
+    """Allocation sites inside ``func``, skipping raise/assert subtrees and
+    annotations."""
     findings: List[Tuple[int, str]] = []
+    skip = _annotations(func)
 
     def visit(node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.Raise, ast.Assert)):
-                continue  # error paths are cold by definition
+            if isinstance(child, (ast.Raise, ast.Assert)) or id(child) in skip:
+                continue  # error paths are cold; annotations never run
             kind = _DISPLAYS.get(type(child))
             if kind is not None:
                 findings.append((child.lineno, f"allocates a {kind}"))
+            elif (
+                isinstance(child, ast.Tuple)
+                and isinstance(child.ctx, ast.Load)
+                and not _is_constant(child)
+            ):
+                findings.append((child.lineno, "allocates a tuple display"))
             elif type(child) in _COMPREHENSIONS:
                 findings.append(
                     (child.lineno, f"allocates via {_COMPREHENSIONS[type(child)]}")
@@ -85,7 +119,7 @@ class AllocationRule(Rule):
                 continue
             manifest_hot = manifest.HOT_FUNCTIONS.get(ctx.relkey, frozenset())
             for qualname, func in iter_functions(ctx.tree):
-                if qualname not in manifest_hot and not ctx.is_hot_marked(func.lineno):
+                if qualname not in manifest_hot:
                     continue
                 for lineno, what in _scan(func):
                     yield self.diag(

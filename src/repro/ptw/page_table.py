@@ -74,7 +74,9 @@ class PageTable:
     def _alloc_table(self) -> int:
         frame = self._next_pt_frame
         self._next_pt_frame += 1
-        self.tables[frame] = {}
+        # First touch only: a table is created once, when the first page
+        # below it is mapped.
+        self.tables[frame] = {}  # repro: allow[RPR001]
         return frame
 
     def _alloc_data_frames(self, count: int) -> int:
@@ -99,11 +101,13 @@ class PageTable:
         page_size = self.size_policy(vaddr)
         leaf_level = 2 if page_size is PageSize.SIZE_2M else 1
 
-        steps: List[WalkStep] = []
+        # One path per walk (per STLB miss, off the per-reference path): the
+        # step list, its entries and the WalkPath are the walk's result.
+        steps: List[WalkStep] = []  # repro: allow[RPR001]
         table = self.root_frame
         for level in range(NUM_LEVELS, leaf_level, -1):
             index = level_index(vpn, level)
-            steps.append(WalkStep(level, self._entry_address(table, index)))
+            steps.append(WalkStep(level, self._entry_address(table, index)))  # repro: allow[RPR001]
             entries = self.tables[table]
             child = entries.get(index)
             if child is None:
@@ -112,9 +116,9 @@ class PageTable:
             table = child
 
         index = level_index(vpn, leaf_level)
-        steps.append(WalkStep(leaf_level, self._entry_address(table, index)))
+        steps.append(WalkStep(leaf_level, self._entry_address(table, index)))  # repro: allow[RPR001]
         pfn = self._map_leaf(vpn, page_size)
-        return WalkPath(tuple(steps), pfn, page_size)
+        return WalkPath(tuple(steps), pfn, page_size)  # repro: allow[RPR001]
 
     def _map_leaf(self, vpn: int, page_size: PageSize) -> int:
         if page_size is PageSize.SIZE_2M:

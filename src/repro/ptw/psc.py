@@ -106,7 +106,9 @@ class SplitPSC:
         for level in self.LEVELS:
             frame = self.caches[level].lookup(self.key_for(vpn, level))
             if frame is not None:
-                return level, frame
+                # One pair per PSC hit: walks run per STLB miss, off the
+                # per-reference path.
+                return level, frame  # repro: allow[RPR001]
         return None
 
     def fill(self, vpn: int, level: int, frame: int) -> None:

@@ -38,13 +38,19 @@ _PSCL_HIT_COUNTERS = {
 }
 _PSC_MISS_COUNTER = "ptw.psc_misses"
 
-#: (walks, walk_cycles, walk_refs) counter-name triples, by translation kind
-#: and demand/prefetch origin.
+#: (walks, walk_cycles, walk_refs) counter-name triples, indexed by
+#: demand/prefetch origin, then by instruction (vs data) translation.  Nested
+#: rather than keyed by a ``(prefetch, is_instr)`` pair, which would build a
+#: tuple per walk.
 _WALK_COUNTERS = {
-    (False, False): ("ptw.data_walks", "ptw.data_walk_cycles", "ptw.data_walk_refs"),
-    (False, True): ("ptw.instr_walks", "ptw.instr_walk_cycles", "ptw.instr_walk_refs"),
-    (True, False): ("ptw.pf_data_walks", "ptw.pf_data_walk_cycles", "ptw.pf_data_walk_refs"),
-    (True, True): ("ptw.pf_instr_walks", "ptw.pf_instr_walk_cycles", "ptw.pf_instr_walk_refs"),
+    False: {
+        False: ("ptw.data_walks", "ptw.data_walk_cycles", "ptw.data_walk_refs"),
+        True: ("ptw.instr_walks", "ptw.instr_walk_cycles", "ptw.instr_walk_refs"),
+    },
+    True: {
+        False: ("ptw.pf_data_walks", "ptw.pf_data_walk_cycles", "ptw.pf_data_walk_refs"),
+        True: ("ptw.pf_instr_walks", "ptw.pf_instr_walk_cycles", "ptw.pf_instr_walk_refs"),
+    },
 }
 
 #: Sentinel resume level on a full PSC miss: deeper than any real table level,
@@ -123,7 +129,7 @@ class PageTableWalker:
         for i in range(len(steps) - 1):
             fill(vpn, steps[i].level, steps[i + 1].entry_address >> PAGE_BITS)
 
-        names = _WALK_COUNTERS[(prefetch, translation_type is _INSTRUCTION)]
+        names = _WALK_COUNTERS[prefetch][translation_type is _INSTRUCTION]
         bump(names[0])
         bump(names[1], latency)
         bump(names[2], references)

@@ -179,11 +179,16 @@ class TLB:
     # ------------------------------------------------------------------ #
 
     def probe(self, vaddr: int) -> bool:
-        """Presence check without touching replacement state."""
-        return any(
-            self._find(vaddr, size) is not None
-            for size in (PageSize.SIZE_4K, PageSize.SIZE_2M)
-        )
+        """Presence check without touching replacement state.
+
+        Probes both page sizes as :meth:`lookup` does (STLB prefetching
+        calls it per candidate page).
+        """
+        vpn = vaddr >> PAGE_BITS
+        if (vpn << 1) in self._key_maps[vpn & self._set_mask]:
+            return True
+        vpn2 = vaddr >> LARGE_PAGE_BITS
+        return ((vpn2 << 1) | 1) in self._key_maps[vpn2 & self._set_mask]
 
     def occupancy(self) -> int:
         return sum(len(m) for m in self._key_maps)

@@ -40,14 +40,6 @@ class TestRPR001Allocations:
         diags = lint_sources({"cache/cache.py": src})
         assert codes(diags).count("RPR001") == 6
 
-    def test_hot_marker_opts_in_any_function(self):
-        src = (
-            "def helper():  # repro: hot\n"
-            "    return {'a': 1}\n"
-        )
-        diags = lint_sources({"workloads/foo.py": src})
-        assert codes(diags) == ["RPR001"]
-
     def test_clean_hot_function_passes(self):
         src = (
             "class TLB:\n"
@@ -60,13 +52,41 @@ class TestRPR001Allocations:
 
     def test_raise_and_assert_subtrees_are_exempt(self):
         src = (
-            "class Stack:\n"
-            "    def touch(self, way):  # repro: hot\n"
+            "class RecencyStack:\n"
+            "    __slots__ = ('_next',)\n"
+            "    def touch(self, way):\n"
             "        if way not in self._next:\n"
-            "            raise ValueError(f'way {way} missing')\n"
-            "        assert way >= 0, f'bad {way}'\n"
+            "            raise ValueError(f'way {way} missing', (way, self))\n"
+            "        assert way >= 0, (f'bad {way}', way)\n"
         )
         assert lint_sources({"common/recency.py": src}) == []
+
+    def test_tuple_display_is_flagged(self):
+        # A per-access key tuple allocates as the list [set_index, tag] does.
+        src = (
+            "class SetAssociativeCache:\n"
+            "    def access(self, req):\n"
+            "        set_index, tag = self._split(req.address)\n"
+            "        _key = (set_index, tag)\n"
+            "        return self._stats[req.kind, tag]\n"
+        )
+        diags = lint_sources({"cache/cache.py": src})
+        assert [(d.code, d.line) for d in diags] == [("RPR001", 4), ("RPR001", 5)]
+        assert "tuple display" in diags[0].message
+
+    def test_constant_tuples_targets_and_annotations_pass(self):
+        src = (
+            "from typing import Union\n"
+            "class BatchedEngine:\n"
+            "    __slots__ = ('_pair', '_pairs')\n"
+            "    def _run_block(self, limit: Union[int, float], end: int) -> Union[int, float]:\n"
+            "        a, b = self._pair\n"
+            "        n: Union[int, float] = 0\n"
+            "        for x, y in self._pairs:\n"
+            "            n += x in (1, 2, (3, 4))\n"
+            "        return n\n"
+        )
+        assert lint_sources({"kernel/batched.py": src}) == []
 
     def test_cold_function_in_hot_module_is_ignored(self):
         src = (
@@ -329,10 +349,9 @@ class TestRunnerAndCLI:
             "RPR004",
             "RPR005",
             "RPR006",
-            "RPR009",
         ):
             assert code in out
-        assert "RPR007" not in out and "RPR008" not in out
+        assert "RPR007" not in out and "RPR008" not in out and "RPR009" not in out
 
 
 class TestTreeIsViolationFree:
