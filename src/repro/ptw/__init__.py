@@ -1,6 +1,6 @@
 """Virtual-memory substrate: radix page table, page structure caches, walker."""
 
-from .page_table import ENTRIES_PER_TABLE, PageTable, WalkPath, WalkStep, level_index
+from .page_table import ENTRIES_PER_TABLE, PageTable, level_index
 from .psc import PageStructureCache, SplitPSC
 from .walker import PageTableWalker, WalkResult
 
@@ -10,8 +10,6 @@ __all__ = [
     "PageTable",
     "PageTableWalker",
     "SplitPSC",
-    "WalkPath",
     "WalkResult",
-    "WalkStep",
     "level_index",
 ]

@@ -14,7 +14,7 @@ whether a virtual address lives in a 4 KB or a 2 MB page (Section 6.5);
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..common.types import PAGE_BITS, PTE_BYTES, PageSize
 
@@ -27,25 +27,6 @@ NUM_LEVELS = 5
 #: they never collide with data frames.
 PT_FRAME_BASE = 1 << 26
 DATA_FRAME_BASE = 1 << 8
-
-
-class WalkStep(NamedTuple):
-    """One page-table entry read: table level and physical byte address."""
-
-    level: int
-    entry_address: int
-
-
-class WalkPath(NamedTuple):
-    """Full result of translating a virtual address."""
-
-    steps: Tuple[WalkStep, ...]
-    pfn: int
-    page_size: PageSize
-
-    @property
-    def leaf_level(self) -> int:
-        return 2 if self.page_size is PageSize.SIZE_2M else 1
 
 
 def level_index(vpn: int, level: int) -> int:
@@ -89,36 +70,31 @@ class PageTable:
 
     # ------------------------------------------------------------------ #
 
-    def walk_path(self, vaddr: int) -> WalkPath:
-        """Translate ``vaddr``, mapping it on first touch.
+    def walk_path(self, vaddr: int, page_size: PageSize, entries: List[int]) -> int:
+        """Translate ``vaddr`` as a ``page_size`` page, mapping it on first touch.
 
-        Returns every entry address a hardware walker starting at the root
-        would read, in L5→leaf order.
+        Writes the physical address of the entry a hardware walker starting
+        at the root reads at each table level into ``entries[level]``, for
+        levels L5 down to the leaf (L1 for 4 KB, L2 for 2 MB); lower slots
+        are left alone.  Returns the pfn of the covering 4 KB frame.
         """
         if vaddr < 0:
             raise ValueError("virtual address must be non-negative")
         vpn = vaddr >> PAGE_BITS
-        page_size = self.size_policy(vaddr)
         leaf_level = 2 if page_size is PageSize.SIZE_2M else 1
-
-        # One path per walk (per STLB miss, off the per-reference path): the
-        # step list, its entries and the WalkPath are the walk's result.
-        steps: List[WalkStep] = []  # repro: allow[RPR001]
+        tables = self.tables
         table = self.root_frame
         for level in range(NUM_LEVELS, leaf_level, -1):
             index = level_index(vpn, level)
-            steps.append(WalkStep(level, self._entry_address(table, index)))  # repro: allow[RPR001]
-            entries = self.tables[table]
-            child = entries.get(index)
+            entries[level] = self._entry_address(table, index)
+            children = tables[table]
+            child = children.get(index)
             if child is None:
                 child = self._alloc_table()
-                entries[index] = child
+                children[index] = child
             table = child
-
-        index = level_index(vpn, leaf_level)
-        steps.append(WalkStep(leaf_level, self._entry_address(table, index)))  # repro: allow[RPR001]
-        pfn = self._map_leaf(vpn, page_size)
-        return WalkPath(tuple(steps), pfn, page_size)  # repro: allow[RPR001]
+        entries[leaf_level] = self._entry_address(table, level_index(vpn, leaf_level))
+        return self._map_leaf(vpn, page_size)
 
     def _map_leaf(self, vpn: int, page_size: PageSize) -> int:
         if page_size is PageSize.SIZE_2M:
@@ -149,8 +125,9 @@ class PageTable:
         ``walk_path`` always reports the pfn of the covering 4 KB frame
         (even inside a 2 MB page), so composition is uniform.
         """
-        path = self.walk_path(vaddr)
-        return (path.pfn << PAGE_BITS) | (vaddr & (PageSize.SIZE_4K - 1))
+        entries = [0] * (NUM_LEVELS + 1)
+        pfn = self.walk_path(vaddr, self.size_policy(vaddr), entries)
+        return (pfn << PAGE_BITS) | (vaddr & (PageSize.SIZE_4K - 1))
 
     @property
     def table_count(self) -> int:

@@ -96,20 +96,16 @@ class SplitPSC:
         """Prefix of ``vpn`` identifying the level-(level-1) table."""
         return vpn >> (INDEX_BITS * (level - 1))
 
-    def deepest_hit(self, vpn: int) -> Optional[tuple]:
-        """Find the deepest PSC hit for ``vpn``.
+    def deepest_hit(self, vpn: int) -> int:
+        """Level ``k`` of the deepest PSCLk hit for ``vpn``, or 0 on a full miss.
 
-        Returns ``(level, frame)`` where ``frame`` is the level-(level-1)
-        table to resume the walk from, or ``None`` on a full miss.  Checked
-        deepest-first (PSCL2 → PSCL5) because a deeper hit skips more.
+        A PSCLk hit knows the level-(k-1) table, so the walk resumes there.
+        Checked deepest-first (PSCL2 → PSCL5) because a deeper hit skips more.
         """
         for level in self.LEVELS:
-            frame = self.caches[level].lookup(self.key_for(vpn, level))
-            if frame is not None:
-                # One pair per PSC hit: walks run per STLB miss, off the
-                # per-reference path.
-                return level, frame  # repro: allow[RPR001]
-        return None
+            if self.caches[level].lookup(self.key_for(vpn, level)) is not None:
+                return level
+        return 0
 
     def fill(self, vpn: int, level: int, frame: int) -> None:
         """Record that the level-(level-1) table for ``vpn`` is ``frame``."""

@@ -10,23 +10,26 @@ Timing simplification (DESIGN.md §3): the paper's walker supports up to 4
 concurrent walks; this model charges walks sequentially, which is the
 conservative choice and does not change policy orderings.
 
-Hot-path notes: :meth:`PageTableWalker.walk` runs on every STLB miss, so the
-counter names it bumps are precomputed module constants (no f-strings) and
-the step/PSC-refill loops iterate the walk path in place instead of building
-filtered copies.
+Hot-path notes: :meth:`PageTableWalker.walk` runs on every STLB miss and
+allocates nothing.  The counter names it bumps are precomputed module
+constants (no f-strings); :meth:`PageTable.walk_path` writes the walk's
+entry addresses into a buffer the walker owns, indexed by table level; and
+the walker owns one :class:`WalkResult`, rewritten by every walk, so a
+caller reads it before the next ``walk`` on the same walker.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from ..common.params import PSCConfig
 from ..common.stats import SimStats
 from ..common.types import AccessType, MemoryRequest, PAGE_BITS, PageSize, RequestType
-from .page_table import PageTable, WalkPath
+from .page_table import NUM_LEVELS, PageTable
 from .psc import SplitPSC
 
 _INSTRUCTION = AccessType.INSTRUCTION
+_SIZE_2M = PageSize.SIZE_2M
 
 #: PSC hit counters by the level that hit (PSCLk), precomputed for the hot
 #: walk path.  Level 1 never appears: PSCL2 is the deepest structure.
@@ -53,16 +56,14 @@ _WALK_COUNTERS = {
     },
 }
 
-#: Sentinel resume level on a full PSC miss: deeper than any real table level,
-#: so every step of the walk path is charged.
-_WALK_ALL_LEVELS = 99
 
+@dataclass(slots=True)
+class WalkResult:
+    """Outcome of the latest walk on one walker (rewritten in place)."""
 
-class WalkResult(NamedTuple):
-    latency: int
-    pfn: int
-    page_size: PageSize
-    memory_references: int
+    latency: int = 0
+    pfn: int = 0
+    page_size: PageSize = PageSize.SIZE_4K
 
 
 class PageTableWalker:
@@ -85,6 +86,10 @@ class PageTableWalker:
         self._ptw_req = MemoryRequest(
             address=0, req_type=RequestType.PTW, is_pte=True
         )
+        # Entry address read at each table level, indexed by level (slot 0
+        # unused), and the result, both rewritten by every walk.
+        self._entries = [0] * (NUM_LEVELS + 1)
+        self._result = WalkResult()
 
     def reset_stats(self) -> None:
         """Clear PSC hit/miss diagnostics at the warmup/measurement boundary."""
@@ -98,41 +103,42 @@ class PageTableWalker:
         prefetch: bool = False,
     ) -> WalkResult:
         vpn = vaddr >> PAGE_BITS
-        path: WalkPath = self.page_table.walk_path(vaddr)
-        steps = path.steps
+        page_size = self.page_table.size_policy(vaddr)
+        leaf_level = 2 if page_size is _SIZE_2M else 1
+        entries = self._entries
+        pfn = self.page_table.walk_path(vaddr, page_size, entries)
         bump = self.stats.bump
 
-        latency = self.psc_latency
-        hit = self.psc.deepest_hit(vpn)
-        if hit is not None:
-            resume_level = hit[0] - 1  # PSCLk knows the level-(k-1) table
-            bump(_PSCL_HIT_COUNTERS[hit[0]])
+        hit_level = self.psc.deepest_hit(vpn)
+        if hit_level:
+            first = hit_level - 1  # PSCLk knows the level-(k-1) table
+            bump(_PSCL_HIT_COUNTERS[hit_level])
         else:
-            resume_level = _WALK_ALL_LEVELS
+            first = NUM_LEVELS
             bump(_PSC_MISS_COUNTER)
 
-        references = 0
+        latency = self.psc_latency
         req = self._ptw_req
         req.translation_type = translation_type
         req.thread_id = thread_id
         access = self.memory_level.access
-        for step in steps:
-            if step.level > resume_level:
-                continue
-            req.address = step.entry_address
+        for level in range(first, leaf_level - 1, -1):
+            req.address = entries[level]
             latency += access(req)
-            references += 1
 
         # Refill the PSCs along the traversed path: reading the level-k
         # entry reveals the level-(k-1) table frame.
         fill = self.psc.fill
-        for i in range(len(steps) - 1):
-            fill(vpn, steps[i].level, steps[i + 1].entry_address >> PAGE_BITS)
+        for level in range(NUM_LEVELS, leaf_level, -1):
+            fill(vpn, level, entries[level - 1] >> PAGE_BITS)
 
         names = _WALK_COUNTERS[prefetch][translation_type is _INSTRUCTION]
         bump(names[0])
         bump(names[1], latency)
-        bump(names[2], references)
-        # One WalkResult per resolved miss: walks are off the per-reference
-        # fast path, and the caller needs the four fields together.
-        return WalkResult(latency, path.pfn, path.page_size, references)  # repro: allow[RPR001]
+        # A PSCL2 hit on a 2 MB page (first == 1) reads no entry.
+        bump(names[2], first - leaf_level + 1)
+        result = self._result
+        result.latency = latency
+        result.pfn = pfn
+        result.page_size = page_size
+        return result

@@ -43,17 +43,16 @@ _TRANSLATION_CYCLES_DATA = "translation.data_cycles"
 
 @dataclass(slots=True)
 class TranslationResult:
-    """Outcome of one address translation.
+    """Outcome of the latest address translation on one MMU.
 
-    Slotted (not frozen) because one is allocated per memory reference —
-    the single hottest allocation site in the simulator.
+    Each MMU owns one and rewrites it on every ``translate``, so the
+    per-reference path allocates nothing: read it before the next
+    ``translate`` on the same MMU (SMT threads share one).
     """
 
-    pfn: int
-    latency: int          # cycles beyond a first-level TLB hit
-    stlb_accessed: bool
-    stlb_miss: bool
-    page_size: PageSize
+    pfn: int = 0
+    latency: int = 0      # cycles beyond a first-level TLB hit
+    stlb_miss: bool = False
 
 
 class MMU:
@@ -102,6 +101,7 @@ class MMU:
         policy = self._stlb_i.policy
         self._chirp = policy if isinstance(policy, CHiRPPolicy) else None
         self._stlb_latency = config.stlb.latency
+        self._result = TranslationResult()
 
     def reset_stats(self) -> None:
         """Clear MSHR event counters at the warmup/measurement boundary.
@@ -134,49 +134,57 @@ class MMU:
             stlb = self._stlb_d
 
         entry = l1.lookup(vaddr, access_type)
+        latency = 0
+        if entry is None:
+            latency = self._stlb_latency
+            entry = stlb.lookup(vaddr, access_type)
+            if entry is not None:
+                l1.insert(vaddr, entry.pfn, entry.page_size, access_type)
+                l1.record_miss(access_type, latency)
+                self._account_translation(access_type, latency)
+        result = self._result
         if entry is not None:
             pfn = entry.pfn
             if entry.page_size is _SIZE_2M:
                 pfn += (vaddr >> PAGE_BITS) & 0x1FF
-            # The sanctioned per-reference allocation (see TranslationResult).
-            return TranslationResult(pfn, 0, False, False, entry.page_size)  # repro: allow[RPR001]
-
-        latency = self._stlb_latency
-        entry = stlb.lookup(vaddr, access_type)
-        if entry is not None:
-            l1.insert(vaddr, entry.pfn, entry.page_size, access_type)
-            l1.record_miss(access_type, latency)
-            self._account_translation(access_type, latency)
-            pfn = entry.pfn
-            if entry.page_size is _SIZE_2M:
-                pfn += (vaddr >> PAGE_BITS) & 0x1FF
-            return TranslationResult(pfn, latency, True, False, entry.page_size)  # repro: allow[RPR001]
+            result.pfn = pfn
+            result.latency = latency
+            result.stlb_miss = False
+            return result
 
         # STLB miss: allocate the typed MSHR entry (Figure 7, step 2) and walk.
         vpn = vaddr >> PAGE_BITS
         self.stlb_mshrs.allocate(vpn, RequestType.PTW, is_pte=True, translation_type=access_type)
+        # The walker's result is rewritten by the prefetch walks below, so
+        # read it now.
         walk = self.walker.walk(vaddr, access_type, thread_id)
-        latency += walk.latency
+        walk_latency = walk.latency
+        pfn = walk.pfn
+        page_size = walk.page_size
+        latency += walk_latency
         mshr_entry = self.stlb_mshrs.release(vpn)
         insert_type = (
             mshr_entry.translation_type if mshr_entry is not None else access_type
         )
 
         # TLB entries for 2 MB pages store the base pfn of the whole page so a
-        # later hit at any offset composes the right frame (walk.pfn reports
+        # later hit at any offset composes the right frame (the walk reports
         # the covering 4 KB frame of this particular vaddr).
-        stored_pfn = walk.pfn
-        if walk.page_size is PageSize.SIZE_2M:
-            stored_pfn -= (vaddr >> PAGE_BITS) & 0x1FF
-        stlb.insert(vaddr, stored_pfn, walk.page_size, insert_type)
-        stlb.record_miss(access_type, walk.latency)
-        l1.insert(vaddr, stored_pfn, walk.page_size, access_type)
+        stored_pfn = pfn
+        if page_size is _SIZE_2M:
+            stored_pfn -= vpn & 0x1FF
+        stlb.insert(vaddr, stored_pfn, page_size, insert_type)
+        stlb.record_miss(access_type, walk_latency)
+        l1.insert(vaddr, stored_pfn, page_size, access_type)
         l1.record_miss(access_type, latency)
         self.stlb_miss_events += 1
         self._account_translation(access_type, latency)
         if self.prefetcher is not None:
             self._stlb_prefetch(vpn, access_type, thread_id)
-        return TranslationResult(walk.pfn, latency, True, True, walk.page_size)  # repro: allow[RPR001]
+        result.pfn = pfn
+        result.latency = latency
+        result.stlb_miss = True
+        return result
 
     def _stlb_prefetch(self, miss_vpn: int, access_type: AccessType, thread_id: int) -> None:
         """Section 7 extension: translation prefetching into the STLB.
@@ -195,7 +203,7 @@ class MMU:
                 continue
             walk = self.walker.walk(vaddr, access_type, thread_id, prefetch=True)
             stored_pfn = walk.pfn
-            if walk.page_size is PageSize.SIZE_2M:
+            if walk.page_size is _SIZE_2M:
                 stored_pfn -= vpn & 0x1FF
             stlb.insert(vaddr, stored_pfn, walk.page_size, access_type)
             self.stats.bump("stlb.prefetch_fills")

@@ -25,80 +25,100 @@ class TestLevelIndex:
         assert level_index(vpn, 1) == 11
 
 
+def walk(pt, vaddr):
+    """``(entries, pfn)`` of one ``walk_path``: ``entries[level]`` is the
+    entry address read at ``level``, ``None`` where the walk read nothing."""
+    entries = [None] * (NUM_LEVELS + 1)
+    pfn = pt.walk_path(vaddr, pt.size_policy(vaddr), entries)
+    return entries, pfn
+
+
+def read_levels(entries):
+    """Levels the walk read, in walk (root-first) order."""
+    return [level for level in range(NUM_LEVELS, 0, -1) if entries[level] is not None]
+
+
+def leaf_entry(entries):
+    return entries[read_levels(entries)[-1]]
+
+
 class TestWalkPath:
     def test_4k_walk_has_five_steps(self):
         pt = PageTable()
-        path = pt.walk_path(0x1234_5000)
-        assert len(path.steps) == NUM_LEVELS
-        assert [s.level for s in path.steps] == [5, 4, 3, 2, 1]
-        assert path.page_size is PageSize.SIZE_4K
-        assert path.leaf_level == 1
+        entries, _ = walk(pt, 0x1234_5000)
+        assert read_levels(entries) == [5, 4, 3, 2, 1]
+        assert pt.pages_mapped_4k == 1
 
     def test_2m_walk_stops_at_level2(self):
         pt = PageTable(size_policy=lambda vaddr: PageSize.SIZE_2M)
-        path = pt.walk_path(0x1234_5000)
-        assert [s.level for s in path.steps] == [5, 4, 3, 2]
-        assert path.page_size is PageSize.SIZE_2M
-        assert path.leaf_level == 2
+        entries, _ = walk(pt, 0x1234_5000)
+        assert read_levels(entries) == [5, 4, 3, 2]
+        assert pt.pages_mapped_2m == 1
+
+    def test_each_entry_lies_in_the_table_the_level_above_points_to(self):
+        pt = PageTable()
+        entries, _ = walk(pt, 0x1234_5000)
+        for level in range(NUM_LEVELS, 1, -1):
+            table = entries[level] >> 12
+            index = (entries[level] & 0xFFF) // 8
+            assert pt.tables[table][index] == entries[level - 1] >> 12
 
     def test_walk_is_deterministic(self):
         pt = PageTable()
-        p1 = pt.walk_path(0x8000_0000)
-        p2 = pt.walk_path(0x8000_0000)
-        assert p1 == p2
+        assert walk(pt, 0x8000_0000) == walk(pt, 0x8000_0000)
 
     def test_first_step_reads_root(self):
         pt = PageTable()
-        path = pt.walk_path(0)
-        assert path.steps[0].entry_address >> 12 == pt.root_frame
+        entries, _ = walk(pt, 0)
+        assert entries[NUM_LEVELS] >> 12 == pt.root_frame
 
     def test_adjacent_pages_share_leaf_line(self):
         # 8 PTEs per 64-byte line: the xPTP-relevant sharing property.
         pt = PageTable()
-        leaf0 = pt.walk_path(0x0000).steps[-1].entry_address
-        leaf1 = pt.walk_path(0x1000).steps[-1].entry_address
+        leaf0 = leaf_entry(walk(pt, 0x0000)[0])
+        leaf1 = leaf_entry(walk(pt, 0x1000)[0])
         assert leaf1 - leaf0 == 8
         assert leaf0 >> 6 == leaf1 >> 6
 
     def test_distant_pages_use_distinct_tables(self):
         pt = PageTable()
-        a = pt.walk_path(0)
-        b = pt.walk_path(1 << 40)
-        assert a.steps[-1].entry_address >> 12 != b.steps[-1].entry_address >> 12
-        assert a.steps[0].entry_address >> 12 == b.steps[0].entry_address >> 12
+        a, _ = walk(pt, 0)
+        b, _ = walk(pt, 1 << 40)
+        assert leaf_entry(a) >> 12 != leaf_entry(b) >> 12
+        assert a[NUM_LEVELS] >> 12 == b[NUM_LEVELS] >> 12
 
     def test_table_count_grows_lazily(self):
         pt = PageTable()
         assert pt.table_count == 1  # just the root
-        pt.walk_path(0)
+        walk(pt, 0)
         assert pt.table_count == 5
-        pt.walk_path(0x1000)  # same tables
+        walk(pt, 0x1000)  # same tables
         assert pt.table_count == 5
 
 
 class TestMapping:
     def test_pfn_stable_across_walks(self):
         pt = PageTable()
-        assert pt.walk_path(0x5000).pfn == pt.walk_path(0x5000).pfn
+        assert walk(pt, 0x5000)[1] == walk(pt, 0x5000)[1]
 
     def test_distinct_pages_get_distinct_frames(self):
         pt = PageTable()
-        pfns = {pt.walk_path(i << 12).pfn for i in range(64)}
+        pfns = {walk(pt, i << 12)[1] for i in range(64)}
         assert len(pfns) == 64
 
     def test_page_counters(self):
         pt = PageTable()
-        pt.walk_path(0x0000)
-        pt.walk_path(0x1000)
-        pt.walk_path(0x1800)  # same page as 0x1000
+        walk(pt, 0x0000)
+        walk(pt, 0x1000)
+        walk(pt, 0x1800)  # same page as 0x1000
         assert pt.pages_mapped_4k == 2
         assert pt.pages_mapped_2m == 0
 
     def test_2m_page_contiguous_and_aligned(self):
         pt = PageTable(size_policy=lambda vaddr: PageSize.SIZE_2M)
-        base = pt.walk_path(0x20_0000).pfn
+        base = walk(pt, 0x20_0000)[1]
         assert base % ENTRIES_PER_TABLE == 0  # 2 MB-aligned allocation
-        nxt = pt.walk_path(0x20_1000).pfn
+        nxt = walk(pt, 0x20_1000)[1]
         assert nxt == base + 1
         assert pt.pages_mapped_2m == 1
 
@@ -106,7 +126,7 @@ class TestMapping:
         pt = PageTable()
         paddr = pt.translate(0x5123)
         assert paddr & 0xFFF == 0x123
-        assert paddr >> 12 == pt.walk_path(0x5123).pfn
+        assert paddr >> 12 == walk(pt, 0x5123)[1]
 
     def test_translate_2m_region_is_contiguous(self):
         pt = PageTable(size_policy=lambda vaddr: PageSize.SIZE_2M)
@@ -118,7 +138,7 @@ class TestMapping:
         import pytest
 
         with pytest.raises(ValueError):
-            PageTable().walk_path(-1)
+            walk(PageTable(), -1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,5 +156,5 @@ def test_translation_is_a_function(vaddrs):
 @given(pages=st.lists(st.integers(min_value=0, max_value=1 << 30), unique=True, max_size=30))
 def test_distinct_pages_never_collide(pages):
     pt = PageTable()
-    frames = [pt.walk_path(p << 12).pfn for p in pages]
+    frames = [walk(pt, p << 12)[1] for p in pages]
     assert len(set(frames)) == len(frames)

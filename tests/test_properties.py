@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.types import AccessType, PageSize
-from repro.ptw.page_table import PageTable
+from repro.ptw.page_table import NUM_LEVELS, PageTable
 
 from .helpers import load, make_cache
 
@@ -105,18 +105,24 @@ def test_page_table_walk_addresses_are_consistent(vpns, large):
     leaf entry address determines the mapping."""
     size_policy = (lambda v: PageSize.SIZE_2M) if large else None
     pt = PageTable(size_policy)
+    leaf_level = 2 if large else 1
     seen = {}
     for vpn in vpns:
-        path = pt.walk_path(vpn << 12)
-        key = path.steps[-1].entry_address
+        page_size = pt.size_policy(vpn << 12)
+        entries = [None] * (NUM_LEVELS + 1)
+        pfn = pt.walk_path(vpn << 12, page_size, entries)
+        # One entry read per level from the root down to the leaf level.
+        assert all(entries[level] is not None for level in range(leaf_level, NUM_LEVELS + 1))
+        assert entries[:leaf_level] == [None] * leaf_level
+        key = entries[leaf_level]
         if key in seen:
-            assert seen[key] == (path.pfn, path.page_size)
+            assert seen[key] == (pfn, page_size)
         elif not large:
             # 4 KB leaves: one entry address <-> one pfn
-            seen[key] = (path.pfn, path.page_size)
-        again = pt.walk_path(vpn << 12)
-        assert again.steps == path.steps
-        assert again.pfn == path.pfn
+            seen[key] = (pfn, page_size)
+        again = [None] * (NUM_LEVELS + 1)
+        assert pt.walk_path(vpn << 12, page_size, again) == pfn
+        assert again == entries
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,11 +161,19 @@ def test_walker_refs_never_increase_for_repeated_walks(vpns):
 
     from .helpers import StubMemory
 
-    walker = PageTableWalker(PageTable(), PSCConfig(), StubMemory(), SimStats())
+    stats = SimStats()
+    walker = PageTableWalker(PageTable(), PSCConfig(), StubMemory(), stats)
+
+    def walk(vaddr):
+        """``(memory references, pfn)`` of one walk."""
+        refs = stats.counters.get("ptw.data_walk_refs", 0)
+        pfn = walker.walk(vaddr, AccessType.DATA).pfn
+        return stats.counters["ptw.data_walk_refs"] - refs, pfn
+
     for vpn in vpns:
-        first = walker.walk(vpn << 12, AccessType.DATA)
-        second = walker.walk(vpn << 12, AccessType.DATA)
-        assert second.memory_references <= first.memory_references
-        assert second.pfn == first.pfn
+        first_refs, first_pfn = walk(vpn << 12)
+        second_refs, second_pfn = walk(vpn << 12)
+        assert second_refs <= first_refs
+        assert second_pfn == first_pfn
         # An immediate re-walk resumes from PSCL2: exactly the leaf read.
-        assert second.memory_references == 1
+        assert second_refs == 1

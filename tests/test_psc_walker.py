@@ -48,21 +48,26 @@ class TestSplitPSC:
         vpn = 0x12345
         psc.fill(vpn, 2, 100)
         psc.fill(vpn, 3, 200)
-        assert psc.deepest_hit(vpn) == (2, 100)
+        assert psc.deepest_hit(vpn) == 2
 
     def test_falls_back_to_shallower(self):
         psc = SplitPSC(PSCConfig())
         vpn = 0x12345
         psc.fill(vpn, 4, 300)
-        assert psc.deepest_hit(vpn) == (4, 300)
+        assert psc.deepest_hit(vpn) == 4
 
     def test_full_miss(self):
         psc = SplitPSC(PSCConfig())
-        assert psc.deepest_hit(0x999) is None
+        assert psc.deepest_hit(0x999) == 0
 
     def test_key_prefixes(self):
         assert SplitPSC.key_for(0x1FF, 2) == 0x1FF >> 9
         assert SplitPSC.key_for(1 << 36, 5) == 1
+
+
+def data_refs(stats):
+    """Page-table entries read by demand data walks so far."""
+    return stats.counters.get("ptw.data_walk_refs", 0)
 
 
 def make_walker():
@@ -75,17 +80,20 @@ def make_walker():
 
 class TestWalker:
     def test_cold_4k_walk_reads_five_levels(self):
-        walker, memory, _ = make_walker()
+        walker, memory, stats = make_walker()
         result = walker.walk(0x1234_5000, AccessType.DATA)
-        assert result.memory_references == 5
+        assert data_refs(stats) == 5
+        assert len(memory.requests) == 5
         assert result.page_size is PageSize.SIZE_4K
         assert result.latency == walker.psc_latency + 5 * 50
 
     def test_warm_walk_uses_pscl2(self):
-        walker, memory, _ = make_walker()
+        walker, memory, stats = make_walker()
         walker.walk(0x0000, AccessType.DATA)
+        cold = data_refs(stats)
         result = walker.walk(0x1000, AccessType.DATA)  # same region
-        assert result.memory_references == 1           # leaf only
+        assert data_refs(stats) - cold == 1            # leaf only
+        assert result.latency == walker.psc_latency + 50
 
     def test_requests_are_typed_pte(self):
         walker, memory, _ = make_walker()
@@ -109,7 +117,7 @@ class TestWalker:
         pt = PageTable(size_policy=lambda vaddr: PageSize.SIZE_2M)
         walker = PageTableWalker(pt, PSCConfig(), memory, stats)
         result = walker.walk(0x20_0000, AccessType.DATA)
-        assert result.memory_references == 4
+        assert data_refs(stats) == 4
         assert result.page_size is PageSize.SIZE_2M
 
     def test_2m_warm_walk_resumes_at_pscl3(self):
@@ -118,10 +126,12 @@ class TestWalker:
         pt = PageTable(size_policy=lambda vaddr: PageSize.SIZE_2M)
         walker = PageTableWalker(pt, PSCConfig(), memory, stats)
         walker.walk(0x20_0000, AccessType.DATA)
+        cold = data_refs(stats)
         # A different 2 MB page in the same 1 GB region: PSCL3 knows the L2
         # table, so only the L2 (leaf) entry is read.
-        result = walker.walk(0x40_0000, AccessType.DATA)
-        assert result.memory_references == 1
+        walker.walk(0x40_0000, AccessType.DATA)
+        assert data_refs(stats) - cold == 1
+        assert stats.counters["ptw.pscl3_hits"] == 1
 
     def test_thread_id_propagates(self):
         walker, memory, _ = make_walker()
